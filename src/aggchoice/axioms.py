@@ -22,14 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linprog
-from .errors import DomainClosureViolated, DomainTooLarge, IncompleteDomain
+from .errors import (
+    DomainClosureViolated,
+    DomainTooLarge,
+    IncompleteDomain,
+    VerificationBug,
+)
 from .model import (
     AggregateSpace,
+    ChoiceDomain,
     LinearOrder,
     Menu,
     PreferenceDistribution,
     StochasticChoice,
     all_orders,
+    aru_evaluate,
+    order_events,
 )
 
 #: Slack allowed before a monotonicity or Block-Marschak cell is flagged.
@@ -116,18 +124,24 @@ def check_limited_monotonicity(
 
 
 def bm_polynomial(
-    rho: StochasticChoice, space: AggregateSpace, menu: Menu, item: str
+    rho: StochasticChoice,
+    space: AggregateSpace,
+    menu: Menu,
+    item: str,
+    observed: set[Menu] | None = None,
 ) -> float:
     """Alternating inclusion-exclusion sum q(D, x) over atomic supersets.
 
     Nonnegativity of all these cells characterizes random-utility
-    consistency on a full atomic domain.
+    consistency on a full atomic domain.  `observed` is the set of the
+    data's menus; callers evaluating many cells pass it once.
     """
     menu = frozenset(menu)
     if item not in menu or not menu <= space.atomic_set:
         raise ValueError("bm_polynomial needs an atomic menu containing the item")
     rest = [a for a in space.atomic if a not in menu]
-    observed = set(rho.menus)
+    if observed is None:
+        observed = set(rho.menus)
     terms = []
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
@@ -138,17 +152,6 @@ def bm_polynomial(
                 )
             terms.append((-1.0) ** r * rho.prob(superset, item))
     return math.fsum(terms)
-
-
-def _order_event_matrix(
-    orders: list[LinearOrder], cells: list[tuple[Menu, str]]
-) -> np.ndarray:
-    mat = np.zeros((len(cells), len(orders)))
-    for j, order in enumerate(orders):
-        for i, (menu, a) in enumerate(cells):
-            if order.best(menu) == a:
-                mat[i, j] = 1.0
-    return mat
 
 
 def _certificate_from(
@@ -164,17 +167,29 @@ def _certificate_from(
 def _lp_rationalize(
     rho: StochasticChoice, menus: list[Menu], ground: tuple[str, ...]
 ) -> tuple[bool, PreferenceDistribution | None, float]:
-    """Exact feasibility of a random-utility model on the given menus."""
-    orders = all_orders(ground)
+    """Exact feasibility of a random-utility model on the given menus.
+
+    A feasible point is renormalized into a certificate and replayed
+    against the data; a replay that misses by more than LP_TOL raises.
+    """
     position = {a: i for i, a in enumerate(ground)}
     cells = [(m, a) for m in menus for a in sorted(m, key=position.__getitem__)]
-    mat = _order_event_matrix(orders, cells)
-    a = np.vstack([mat, np.ones((1, len(orders)))])
+    events = order_events(ground, cells)
+    a = np.vstack([events, np.ones((1, events.shape[1]))])
     b = np.array([rho.prob(m, x) for m, x in cells] + [1.0])
     result = linprog.solve_feasibility(a, b, tol=LP_TOL)
     if not result.feasible:
         return False, None, result.residual
-    return True, _certificate_from(orders, result.x), result.residual
+    certificate = _certificate_from(all_orders(ground), result.x)
+    replay = aru_evaluate(
+        certificate, ChoiceDomain(AggregateSpace(tuple(ground), ()), tuple(menus))
+    )
+    miss = max(abs(replay.prob(m, x) - rho.prob(m, x)) for m, x in cells)
+    if miss > LP_TOL:
+        raise VerificationBug(
+            f"LP certificate misses the data by {miss!r} (tolerance {LP_TOL!r})"
+        )
+    return True, certificate, result.residual
 
 
 def check_partial_ru(
@@ -200,9 +215,10 @@ def check_partial_ru(
                 "Block-Marschak route requires every nonempty atomic menu"
             )
         violations = []
+        observed = set(menus)
         for menu in menus:
             for item in space.sort(menu):
-                value = bm_polynomial(rho, space, menu, item)
+                value = bm_polynomial(rho, space, menu, item, observed)
                 if value < -AXIOM_TOL:
                     violations.append(
                         Violation("block-marschak", (menu, item), value, 0.0)

@@ -313,8 +313,6 @@ def _cmd_simulate(args) -> int:
             for menu in rho.menus
         ],
     }
-    if args.seed is not None:
-        payload["seed"] = args.seed
     _emit(payload, args.output)
     return PASS
 
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lambda-x", default="0.8,0.1,0.1")
     sim.add_argument("--lambda-y", default="0.8,0.1,0.1")
     sim.add_argument("--lambda-xy", default="0.8,0.1,0.1")
-    sim.add_argument("--seed", type=int)
     sim.add_argument("--output")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -498,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--measures", choices=("bias", "distance", "both"), default="both")
     sw.add_argument("--jobs", type=int, default=1)
-    sw.add_argument("--seed", type=int)
     sw.add_argument("--output-csv", required=True)
     sw.add_argument("--output-svg")
     sw.set_defaults(func=_cmd_sweep)

@@ -35,6 +35,9 @@ from .model import (
     StochasticChoice,
     all_orders,
     forward_evaluate,
+    nth_order,
+    order_events,
+    order_winners,
     vertex_choice,
 )
 from .rationalize import Rationalization
@@ -55,17 +58,6 @@ GRID_BUDGET = 5_000_000
 
 def _cell_vector(rho: StochasticChoice, cells: list[tuple[Menu, str]]) -> np.ndarray:
     return np.array([rho.prob(m, a) for m, a in cells])
-
-
-def _vertex_matrix(
-    orders: list[LinearOrder], cells: list[tuple[Menu, str]]
-) -> np.ndarray:
-    mat = np.zeros((len(orders), len(cells)))
-    for i, order in enumerate(orders):
-        for j, (menu, a) in enumerate(cells):
-            if order.best(menu) == a:
-                mat[i, j] = 1.0
-    return mat
 
 
 def aru_vertices(
@@ -151,8 +143,10 @@ def aru_distance(
     """
     domain = rho.domain()
     cells = domain.cells()
-    orders = all_orders(space.members)
-    vertices = _vertex_matrix(orders, cells)
+    # One row per vertex: the Frank-Wolfe sums below depend on this layout.
+    vertices = np.asarray(
+        order_events(space.members, cells).T, dtype=float, order="C"
+    )
     target = _cell_vector(rho, cells)
 
     start = int(np.argmin(((vertices - target) ** 2).sum(axis=1)))
@@ -190,7 +184,9 @@ def aru_distance(
             for menu in domain.menus
         },
     )
-    mixture = {orders[a]: float(w) for a, w in zip(active, weights)}
+    mixture = {
+        nth_order(space.members, a): float(w) for a, w in zip(active, weights)
+    }
     return DistanceResult(
         squared_distance=float(((x - target) ** 2).sum()),
         mixture=mixture,
@@ -215,30 +211,34 @@ def ru_vertex_lmo(
     "deviate to some non-atomic member".  Ties prefer following, then
     the earliest aggregate in construction order; ties across orders
     keep the first order enumerated.
+
+    The best deviation on a menu does not depend on the order, so one
+    pass over the winner table scores every order.  Totals accumulate
+    menu by menu, so each order's sum adds the same floats in the same
+    order as a per-order loop would.
     """
 
     def coeff(menu: Menu, a: str) -> float:
         return gradient.get((menu, a), 0.0)
 
-    best_total: float | None = None
-    best_choice: tuple[LinearOrder, dict[str, list[Menu]]] | None = None
-    for order in all_orders(space.members):
-        total = 0.0
-        deviations: dict[str, list[Menu]] = {}
-        for menu in domain.menus:
-            follow = coeff(menu, order.best(menu))
-            value, target = follow, None
-            for a in space.sort(menu & space.non_atomic_set):
-                c = coeff(menu, a)
-                if c < value:
-                    value, target = c, a
-            total += value
-            if target is not None:
-                deviations.setdefault(target, []).append(menu)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_choice = (order, deviations)
-    order, deviations = best_choice
+    ground = space.members
+    menus = domain.menus
+    winners = order_winners(ground, menus)
+    total = np.zeros(len(winners))
+    best_deviation: list[tuple[float, str | None]] = []
+    for j, menu in enumerate(menus):
+        value, target = math.inf, None
+        for a in space.sort(menu & space.non_atomic_set):
+            if coeff(menu, a) < value:
+                value, target = coeff(menu, a), a
+        best_deviation.append((value, target))
+        follow = np.array([coeff(menu, a) for a in ground])
+        total += np.minimum(follow[winners[:, j]], value)
+    order = nth_order(ground, int(np.argmin(total)))
+    deviations: dict[str, list[Menu]] = {}
+    for menu, (value, target) in zip(menus, best_deviation):
+        if value < coeff(menu, order.best(menu)):
+            deviations.setdefault(target, []).append(menu)
     family = MenuCollectionFamily(
         {a: frozenset(menus) for a, menus in deviations.items()}
     )
@@ -450,8 +450,15 @@ def grid_oracle_ru_n(
 
     synthetic = tuple(f"{outside}#{i}" for i in range(n))
     ground = space.atomic + synthetic
-    orders = all_orders(ground)
     subsets = _subset_list(synthetic)
+    # Every realized set is a subset of the ground (at most 6 ids).
+    realizable = _subset_list(ground)
+    winners = order_winners(ground, realizable)
+    column = {s: j for j, s in enumerate(realizable)}
+
+    def event_row(realized: frozenset[str], y: str) -> np.ndarray:
+        """1.0 for each order whose best element of `realized` is y."""
+        return (winners[:, column[realized]] == ground.index(y)).astype(float)
 
     # Static rows: atomic menus pin the atomic marginals of every order.
     atomic_rows: list[np.ndarray] = []
@@ -459,16 +466,8 @@ def grid_oracle_ru_n(
     observed_atomic = [m for m in rho.menus if m <= space.atomic_set]
     for menu in observed_atomic:
         for a in space.sort(menu):
-            row = np.array(
-                [1.0 if o.best(menu) == a else 0.0 for o in orders]
-            )
-            atomic_rows.append(row)
+            atomic_rows.append(event_row(menu, a))
             atomic_rhs.append(rho.prob(menu, a))
-
-    def event_row(realized: frozenset[str], win: frozenset[str]) -> np.ndarray:
-        return np.array(
-            [1.0 if o.best(realized) in win else 0.0 for o in orders]
-        )
 
     plans: list[_MenuPlan] = []
     mixed_menus = [m for m in rho.menus if outside in m]
@@ -505,13 +504,11 @@ def grid_oracle_ru_n(
             rows = []
             for y, kind in kinds.items():
                 if kind == "zero":
-                    rows.append((event_row(realized, frozenset({y})), 0.0))
+                    rows.append((event_row(realized, y), 0.0))
                 elif kind == "one":
-                    rows.append((event_row(realized, frozenset({y})), 1.0))
+                    rows.append((event_row(realized, y), 1.0))
                 elif kind == "anchor":
-                    diff = event_row(realized, frozenset({y})) - event_row(
-                        frozenset(atoms), frozenset({y})
-                    )
+                    diff = event_row(realized, y) - event_row(frozenset(atoms), y)
                     rows.append((diff, 0.0))
             return tuple(rows)
 
@@ -536,8 +533,7 @@ def grid_oracle_ru_n(
                     mixture_rows = []
                     for y in value_cells:
                         row = sum(
-                            w * event_row(atoms | s, frozenset({y}))
-                            for s, w in lam.items()
+                            w * event_row(atoms | s, y) for s, w in lam.items()
                         )
                         mixture_rows.append((row, targets[y]))
                     candidates.append((lam, fixed_rows, tuple(mixture_rows)))
@@ -554,7 +550,7 @@ def grid_oracle_ru_n(
     # Depth-first search, cheapest plans first, with zero-propagation
     # pruning before each feasibility LP.
     plans.sort(key=lambda p: (len(p.candidates), space.menu_key(p.menu)))
-    n_orders = len(orders)
+    n_orders = len(winners)
     checked = 0
 
     def solve(rows: list[tuple[np.ndarray, float]]) -> np.ndarray | None:
@@ -609,7 +605,7 @@ def grid_oracle_ru_n(
         return GridOracleResult(False, None, checked)
 
     support = {
-        orders[i]: float(w) for i, w in enumerate(mu_vec) if w > 1e-15
+        nth_order(ground, i): float(w) for i, w in enumerate(mu_vec) if w > 1e-15
     }
     total_mass = math.fsum(support.values())
     prefs = PreferenceDistribution(

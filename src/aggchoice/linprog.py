@@ -40,18 +40,36 @@ def solve_feasibility(
     Runs phase-1 simplex (minimize the sum of artificial variables) with
     Bland's anti-cycling rule.  Feasible iff the optimal artificial mass
     is at most `tol`; the returned point is the first basic feasible
-    solution the deterministic pivot order reaches.
+    solution the deterministic pivot order reaches.  That point is
+    checked before it is returned: a negative entry or a row of
+    ``a @ x - b`` off by more than `tol` raises `NoConvergence`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    if b.shape != (m,):
+    if b.shape != (a.shape[0],):
         raise ValueError("b must match the row count of a")
+    x, residual = _phase_one(a, b)
+    if residual > tol:
+        return FeasibilityResult(False, None, residual)
+    if not (x >= 0.0).all():
+        raise NoConvergence("simplex point has a negative or undefined entry")
+    miss = float(np.abs(a @ x - b).max(initial=0.0))
+    if not miss <= tol:
+        raise NoConvergence(
+            f"simplex point misses a @ x = b by {miss!r} (tolerance {tol!r})"
+        )
+    return FeasibilityResult(True, x, max(residual, 0.0))
+
+
+def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Phase-1 simplex: the final basic point and its artificial mass."""
+    m, n = a.shape
 
     # Flip rows so the right-hand side is nonnegative.
     flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
+    if flip.any():
+        a = np.where(flip[:, None], -a, a)
+        b = np.where(flip, -b, b)
 
     # Tableau [A | I | b]; objective row below carries reduced costs for
     # minimizing the artificial sum, with -objective in its RHS cell.
@@ -93,12 +111,8 @@ def solve_feasibility(
     else:
         raise NoConvergence("simplex pivot cap exceeded")
 
-    residual = float(-tab[m, -1])
-    if residual > tol:
-        return FeasibilityResult(False, None, residual)
-
     x = np.zeros(n)
     for r, j in enumerate(basis):
         if j < n:
             x[j] = max(tab[r, -1], 0.0)
-    return FeasibilityResult(True, x, max(residual, 0.0))
+    return x, float(-tab[m, -1])

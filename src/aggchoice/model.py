@@ -15,10 +15,13 @@ functions and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     AggregateNotInMenu,
@@ -306,17 +309,98 @@ class LinearOrder:
         return LinearOrder(tuple(x for x in self.ranking if x in keep))
 
 
-def all_orders(ground: tuple[str, ...]) -> list[LinearOrder]:
-    """Every linear order on the ground set, in deterministic order.
-
-    Enforces the documented enumeration cap (8! orders).
-    """
+def _check_enumerable(ground: Sequence[str]) -> None:
     if len(ground) > MAX_ENUMERATION_GROUND:
         raise DomainTooLarge(
             f"cannot enumerate orders on {len(ground)} ids "
             f"(cap is {MAX_ENUMERATION_GROUND})"
         )
+
+
+def all_orders(ground: tuple[str, ...]) -> list[LinearOrder]:
+    """Every linear order on the ground set, in deterministic order.
+
+    Enforces the documented enumeration cap (8! orders).
+    """
+    _check_enumerable(ground)
     return [LinearOrder(p) for p in itertools.permutations(ground)]
+
+
+@functools.cache
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(n) and their rank arrays, as read-only int8.
+
+    Row i of `perms` is the i-th tuple of ``itertools.permutations(range(n))``,
+    so it is order i of `all_orders`.  ``ranks[x, i]`` is the position of
+    x in that order; each id's ranks across orders are contiguous.  Both
+    arrays together take 2 * n * n! bytes (645 KB at n = 8).
+    """
+    count = math.factorial(n)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8,
+        count=count * n,
+    ).reshape(count, n)
+    ranks = np.empty((n, count), dtype=np.int8)
+    ranks[perms, np.arange(count)[:, None]] = np.arange(n, dtype=np.int8)
+    perms.flags.writeable = False
+    ranks.flags.writeable = False
+    return perms, ranks
+
+
+def nth_order(ground: Sequence[str], index: int) -> LinearOrder:
+    """``all_orders(ground)[index]``, without building the other orders."""
+    _check_enumerable(ground)
+    perms, _ = _permutation_table(len(ground))
+    return LinearOrder(tuple(ground[k] for k in perms[index]))
+
+
+def order_winners(
+    ground: Sequence[str], menus: Sequence[Iterable[str]]
+) -> np.ndarray:
+    """Winner table of every order on every menu.
+
+    Entry (i, j) is the index into `ground` of ``all_orders(ground)[i]``'s
+    best element of ``menus[j]``.  Returns an int8 array of shape
+    (n!, len(menus)), n! * len(menus) bytes, whose columns are contiguous.
+    """
+    _check_enumerable(ground)
+    perms, ranks = _permutation_table(len(ground))
+    position = {x: i for i, x in enumerate(ground)}
+    table = np.empty((len(menus), len(perms)), dtype=np.int8)
+    for j, menu in enumerate(menus):
+        try:
+            first, *rest = sorted(position[x] for x in menu)
+        except KeyError as err:
+            raise GroundMismatch(
+                f"menu id {err.args[0]!r} is not in the ground set"
+            ) from None
+        winner = table[j]
+        winner.fill(first)
+        best = ranks[first]
+        for x in rest:
+            rank = ranks[x]
+            winner[rank < best] = x
+            best = np.minimum(best, rank)
+    return table.T
+
+
+def order_events(
+    ground: Sequence[str], cells: Sequence[tuple[Iterable[str], str]]
+) -> np.ndarray:
+    """Which order picks which cell: the vertices of the ARU polytope.
+
+    Entry (c, i) is True when ``all_orders(ground)[i]`` picks aggregate a
+    from menu m, where ``cells[c] = (m, a)``.  Returns a C-contiguous bool
+    array of shape (len(cells), n!).
+    """
+    menus = list(dict.fromkeys(frozenset(m) for m, _ in cells))
+    column = {m: j for j, m in enumerate(menus)}
+    position = {x: i for i, x in enumerate(ground)}
+    by_menu = order_winners(ground, menus).T
+    rows = [column[frozenset(m)] for m, _ in cells]
+    picked = np.array([position[a] for _, a in cells], dtype=np.int8)
+    return by_menu[rows] == picked[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+
+from aggchoice import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from aggchoice import (
     MenuCollectionFamily,
     PreferenceDistribution,
     StochasticChoice,
+    VerificationBug,
     aru_evaluate,
     bm_polynomial,
     check_aru_rational,
@@ -303,3 +306,31 @@ class TestSoundnessChain:
             lam = random_composition(corr, dom, rng)
             rho = forward_evaluate(mu, corr, lam, dom)
             assert check_ru_rational(rho, space).passed
+
+
+class TestCertificateReplay:
+    """A feasible LP point is replayed against the data, never trusted."""
+
+    @pytest.fixture
+    def lying_solver(self, monkeypatch):
+        # Claims feasibility with all mass on the first order.
+        def solve(a, b, tol):
+            x = np.zeros(a.shape[1])
+            x[0] = 1.0
+            return linprog.FeasibilityResult(True, x, 0.0)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", solve)
+
+    def uniform(self, space):
+        domain = ChoiceDomain.full(space)
+        return StochasticChoice(
+            space, {m: {a: 1.0 / len(m) for a in m} for m in domain.menus}
+        )
+
+    def test_aru_check_raises(self, three_space, lying_solver):
+        with pytest.raises(VerificationBug):
+            check_aru_rational(self.uniform(three_space), three_space)
+
+    def test_partial_lp_route_raises(self, three_space, lying_solver):
+        with pytest.raises(VerificationBug):
+            check_partial_ru(self.uniform(three_space), three_space, method="lp")

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from aggchoice import NoConvergence, linprog
 from aggchoice.linprog import solve_feasibility
 
 
@@ -68,3 +70,25 @@ def test_random_feasible_batch():
         result = solve_feasibility(a, b)
         assert result.feasible
         assert np.abs(a @ result.x - b).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "point, tol",
+    [
+        ([0.5, 0.0], 1e-9),  # misses the row by 0.5
+        ([1.0 + 1e-8, 0.0], 1e-9),  # misses by more than the caller's tolerance
+        ([1.5, -0.5], 1e-9),  # solves the row but is negative
+    ],
+)
+def test_returned_point_is_checked(monkeypatch, point, tol):
+    monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (np.array(point), 0.0))
+    with pytest.raises(NoConvergence):
+        solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=tol)
+
+
+def test_point_check_uses_callers_tolerance(monkeypatch):
+    monkeypatch.setattr(
+        linprog, "_phase_one", lambda a, b: (np.array([1.0 + 1e-8, 0.0]), 0.0)
+    )
+    result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
+    assert result.feasible

@@ -1,15 +1,24 @@
-"""Golden outputs of every order-enumeration path.
+"""The winner-table kernel and golden outputs of every path built on it.
 
-The literals below were recorded from the per-order reference loops
-(`LinearOrder.best` called once per order and menu).  Each path must
-reproduce them bit for bit: certificates and Frank-Wolfe mixtures come
-out of deterministic tie-breaks, so a changed float or support means a
-changed pivot or iterate sequence, not a rounding wobble.
+The kernel is checked against `LinearOrder.best`, the independent
+reference.  The golden literals were recorded from the per-order
+reference loops (`LinearOrder.best` called once per order and menu).
+Each path must reproduce them bit for bit: certificates and Frank-Wolfe
+mixtures come out of deterministic tie-breaks, so a changed float or
+support means a changed pivot or iterate sequence, not a rounding wobble.
 """
+
+import itertools
+import math
+
+import numpy as np
+import pytest
 
 from aggchoice import (
     AggregateSpace,
     ChoiceDomain,
+    DomainTooLarge,
+    GroundMismatch,
     LinearOrder,
     MenuCollectionFamily,
     PreferenceDistribution,
@@ -23,6 +32,7 @@ from aggchoice import (
     ru_vertex_lmo,
     vertex_choice,
 )
+from aggchoice.model import all_orders, nth_order, order_events, order_winners
 
 SPACE5 = AggregateSpace(("x", "y", "z"), ("a0", "a1"))
 SPACE4 = AggregateSpace(("x", "y"), ("a0", "a1"))
@@ -102,6 +112,39 @@ def lmo_gradients():
             },
         ),
     ]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_winners_match_best(self, n):
+        ground = ("d", "b", "f", "a", "e", "c")[:n]
+        menus = [
+            frozenset(c)
+            for r in range(1, n + 1)
+            for c in itertools.combinations(ground, r)
+        ]
+        winners = order_winners(ground, menus)
+        assert winners.shape == (math.factorial(n), len(menus))
+        assert winners.dtype == np.int8
+        for i, order in enumerate(all_orders(ground)):
+            assert [ground[k] for k in winners[i]] == [order.best(m) for m in menus]
+
+    def test_nth_order(self):
+        ground = ("c", "a", "d", "b")
+        assert [nth_order(ground, i) for i in range(24)] == all_orders(ground)
+
+    def test_events_match_best(self):
+        cells = DOMAIN4.cells()
+        orders = all_orders(SPACE4.members)
+        events = order_events(SPACE4.members, cells)
+        assert events.flags.c_contiguous
+        assert events.tolist() == [[o.best(m) == a for o in orders] for m, a in cells]
+
+    def test_cap_and_foreign_ids(self):
+        with pytest.raises(DomainTooLarge):
+            order_winners(tuple("abcdefghi"), [menu("a")])
+        with pytest.raises(GroundMismatch):
+            order_winners(("a", "b"), [menu("a", "z")])
 
 
 class TestGolden:
