@@ -181,8 +181,9 @@ def _lp_rationalize(
     if not result.feasible:
         return False, None, result.residual
     certificate = _certificate_from(all_orders(ground), result.x)
+    # The replay space holds exactly the ids the certificate ranks.
     replay = aru_evaluate(
-        certificate, ChoiceDomain(AggregateSpace(tuple(ground), ()), tuple(menus))
+        certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
     )
     miss = max(abs(replay.prob(m, x) - rho.prob(m, x)) for m, x in cells)
     if miss > LP_TOL:

@@ -1,8 +1,6 @@
 
 import numpy as np
 import pytest
-
-from aggchoice import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +21,7 @@ from aggchoice import (
     check_partial_ru,
     check_ru_rational,
     forward_evaluate,
+    linprog,
     vertex_choice,
 )
 from conftest import (

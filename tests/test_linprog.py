@@ -73,17 +73,17 @@ def test_random_feasible_batch():
 
 
 @pytest.mark.parametrize(
-    "point, tol",
+    "point",
     [
-        ([0.5, 0.0], 1e-9),  # misses the row by 0.5
-        ([1.0 + 1e-8, 0.0], 1e-9),  # misses by more than the caller's tolerance
-        ([1.5, -0.5], 1e-9),  # solves the row but is negative
+        [0.5, 0.0],  # misses the row by 0.5
+        [1.0 + 1e-8, 0.0],  # misses by more than the tolerance
+        [1.5, -0.5],  # solves the row but is negative
     ],
 )
-def test_returned_point_is_checked(monkeypatch, point, tol):
+def test_returned_point_is_checked(monkeypatch, point):
     monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (np.array(point), 0.0))
     with pytest.raises(NoConvergence):
-        solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=tol)
+        solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-9)
 
 
 def test_point_check_uses_callers_tolerance(monkeypatch):
