@@ -43,8 +43,15 @@ from .model import (
 #: Slack allowed before a monotonicity or Block-Marschak cell is flagged.
 AXIOM_TOL = 1e-10
 
-#: Tolerance on LP equality constraints (and certificate reproduction).
+#: Tolerance on LP equality constraints.
 LP_TOL = 1e-9
+
+#: Tolerance on replaying an LP certificate.  The LP holds every row, the
+#: total-mass row among them, to LP_TOL, so after dividing the point by
+#: its total a cell can miss by up to (LP_TOL + LP_TOL) / (1 - LP_TOL).
+#: The last term covers rounding and the weights below 1e-15 that the
+#: certificate drops.
+CERTIFICATE_TOL = 2 * LP_TOL / (1 - LP_TOL) + 1e-11
 
 #: Order-enumeration cap for the partial (atomic-only) LP route.
 MAX_ATOMIC_LP = 7
@@ -124,29 +131,22 @@ def check_limited_monotonicity(
 
 
 def bm_polynomial(
-    rho: StochasticChoice,
-    space: AggregateSpace,
-    menu: Menu,
-    item: str,
-    observed: set[Menu] | None = None,
+    rho: StochasticChoice, space: AggregateSpace, menu: Menu, item: str
 ) -> float:
     """Alternating inclusion-exclusion sum q(D, x) over atomic supersets.
 
     Nonnegativity of all these cells characterizes random-utility
-    consistency on a full atomic domain.  `observed` is the set of the
-    data's menus; callers evaluating many cells pass it once.
+    consistency on a full atomic domain.
     """
     menu = frozenset(menu)
     if item not in menu or not menu <= space.atomic_set:
         raise ValueError("bm_polynomial needs an atomic menu containing the item")
     rest = [a for a in space.atomic if a not in menu]
-    if observed is None:
-        observed = set(rho.menus)
     terms = []
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
             superset = menu | frozenset(extra)
-            if superset not in observed:
+            if superset not in rho.table:
                 raise IncompleteDomain(
                     f"missing atomic menu {sorted(superset)} for the alternating sum"
                 )
@@ -170,7 +170,8 @@ def _lp_rationalize(
     """Exact feasibility of a random-utility model on the given menus.
 
     A feasible point is renormalized into a certificate and replayed
-    against the data; a replay that misses by more than LP_TOL raises.
+    against the data; a replay that misses by more than CERTIFICATE_TOL
+    raises.
     """
     position = {a: i for i, a in enumerate(ground)}
     cells = [(m, a) for m in menus for a in sorted(m, key=position.__getitem__)]
@@ -186,9 +187,10 @@ def _lp_rationalize(
         certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
     )
     miss = max(abs(replay.prob(m, x) - rho.prob(m, x)) for m, x in cells)
-    if miss > LP_TOL:
+    if miss > CERTIFICATE_TOL:
         raise VerificationBug(
-            f"LP certificate misses the data by {miss!r} (tolerance {LP_TOL!r})"
+            f"LP certificate misses the data by {miss!r}"
+            f" (tolerance {CERTIFICATE_TOL!r})"
         )
     return True, certificate, result.residual
 
@@ -216,10 +218,9 @@ def check_partial_ru(
                 "Block-Marschak route requires every nonempty atomic menu"
             )
         violations = []
-        observed = set(menus)
         for menu in menus:
             for item in space.sort(menu):
-                value = bm_polynomial(rho, space, menu, item, observed)
+                value = bm_polynomial(rho, space, menu, item)
                 if value < -AXIOM_TOL:
                     violations.append(
                         Violation("block-marschak", (menu, item), value, 0.0)

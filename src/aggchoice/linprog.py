@@ -67,9 +67,8 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
     # Flip rows so the right-hand side is nonnegative.
     flip = b < 0
-    if flip.any():
-        a = np.where(flip[:, None], -a, a)
-        b = np.where(flip, -b, b)
+    a = np.where(flip[:, None], -a, a)
+    b = np.where(flip, -b, b)
 
     # Tableau [A | I | b]; objective row below carries reduced costs for
     # minimizing the artificial sum, with -objective in its RHS cell.

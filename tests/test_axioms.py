@@ -24,6 +24,8 @@ from aggchoice import (
     linprog,
     vertex_choice,
 )
+from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL
+from aggchoice.model import all_orders
 from conftest import (
     random_composition,
     random_preferences,
@@ -333,3 +335,32 @@ class TestCertificateReplay:
     def test_partial_lp_route_raises(self, three_space, lying_solver):
         with pytest.raises(VerificationBug):
             check_partial_ru(self.uniform(three_space), three_space, method="lp")
+
+    def test_renormalization_drift_is_allowed(self, three_space, monkeypatch):
+        # Every LP row misses by just under LP_TOL: the mass row is high
+        # while the point-mass cell on the full menu is low, so the
+        # renormalized certificate misses that cell by nearly 2 * LP_TOL.
+        eps = 0.9 * LP_TOL
+        ground = three_space.members
+        first = LinearOrder(ground)
+        others = [LinearOrder((Y, X, A0)), LinearOrder((A0, X, Y))]
+        assert first.ranking[0] == X
+        orders = all_orders(ground)
+
+        def solve(a, b, tol):
+            x = np.zeros(a.shape[1])
+            x[orders.index(first)] = 1.0 - eps
+            for order in others:
+                x[orders.index(order)] = eps
+            assert np.abs(a @ x - b).max() <= tol
+            return linprog.FeasibilityResult(True, x, 0.0)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", solve)
+        rho = aru_evaluate(
+            PreferenceDistribution({first: 1.0}), ChoiceDomain.full(three_space)
+        )
+        report = check_aru_rational(rho, three_space)
+        assert report.passed
+        full = frozenset(ground)
+        replay = aru_evaluate(report.certificate, ChoiceDomain.full(three_space))
+        assert LP_TOL < 1.0 - replay.prob(full, X) <= CERTIFICATE_TOL
