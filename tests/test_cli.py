@@ -200,6 +200,35 @@ class TestSimulateAndSweep:
         assert main(args + ["--jobs", "2", "--output-csv", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_lambda_csv_bytes(self, tmp_path):
+        out = tmp_path / "lambda.csv"
+        assert main(
+            ["sweep", "--mode", "lambda", "--grid", "0.5", "--output-csv", str(out)]
+        ) == 0
+        assert out.read_text() == (
+            "lam_z,lam_w,lam_zw,bias,squared_distance\n"
+            "0,0,1,-0.26011101,0.000601869238\n"
+            "0,0.5,0.5,0.333600164,0.0274452683\n"
+            "0,1,0,0.849571534,0.209424381\n"
+            "0.5,0,0.5,-0.249635879,0.000406460116\n"
+            "0.5,0.5,0,0.341666624,0.0289130243\n"
+            "1,0,0,-0.239226143,0.00024928269\n"
+        )
+
+    def test_minmax_csv_bytes(self, tmp_path):
+        out = tmp_path / "minmax.csv"
+        argv = ["sweep", "--mode", "minmax", "--grid", "0.5", "--resolution", "0.1"]
+        assert main(argv + ["--output-csv", str(out)]) == 0
+        assert out.read_text() == (
+            "lam_w,lam_z,max_bias,min_bias,min_abs_bias,independent_bias\n"
+            "0,0,3.04858735,-3.04858735,0,0\n"
+            "0,0.5,3.04858735,-3.04858735,0,-8.70529113e-05\n"
+            "0,1,3.04858735,-3.04858735,0,-2.22044605e-16\n"
+            "0.5,0,3.04858735,-3.04858735,0,-0.405551043\n"
+            "0.5,0.5,3.04858735,-3.04858735,0,-0.396508293\n"
+            "1,0,3.04858735,-3.04858735,0,-1.11022302e-15\n"
+        )
+
     def test_minmax_csv(self, tmp_path):
         out = tmp_path / "mm.csv"
         assert main(["sweep", "--mode", "minmax", "--output-csv", str(out)]) == 0

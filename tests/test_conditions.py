@@ -19,7 +19,10 @@ from aggchoice import (
     is_non_overlapping,
     lift_aru_to_nonoverlapping,
     extend_preferences,
+    unconditional_joint,
 )
+from aggchoice import linprog
+from aggchoice.conditions import MARGINAL_TOL
 from conftest import random_composition, random_preferences
 
 X, A0 = "x", "a0"
@@ -165,6 +168,47 @@ class TestMenuIndependence:
         )
         report = is_menu_independent(lam, corr, dom)
         assert not report.holds
+
+    def test_joint_from_pairwise_menus_solves_the_lp(self, monkeypatch):
+        # No menu holds all three aggregates, so the joint comes from the
+        # feasibility LP; every menu's marginal of it must match the data.
+        space = AggregateSpace((), ("a", "b", "c"))
+        corr = AggregationCorrespondence.identity_atomic(
+            space, {k: (f"{k}1", f"{k}2") for k in ("a", "b", "c")}
+        )
+        menus = [frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "c"})]
+        dom = ChoiceDomain(space, tuple(menus))
+        per_menu = {}
+        for menu in menus:
+            first, second = sorted(menu)
+            per_menu[menu] = {
+                CompositionTuple.of(
+                    {first: {f"{first}{i}"}, second: {f"{second}{i}"}}
+                ): w
+                for i, w in ((1, 0.25), (2, 0.75))
+            }
+        lam = CompositionDistribution(per_menu)
+
+        calls = []
+        solve = linprog.solve_feasibility
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", spy)
+        joint = unconditional_joint(lam, corr, dom)
+        assert len(calls) == 1
+        assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+        for menu in menus:
+            marginal = {}
+            for t, w in joint.items():
+                sub = CompositionTuple.of({a: t.part(a) for a in menu})
+                marginal[sub] = marginal.get(sub, 0.0) + w
+            expected = lam.for_menu(menu)
+            for t in set(marginal) | set(expected):
+                gap = abs(marginal.get(t, 0.0) - expected.get(t, 0.0))
+                assert gap <= MARGINAL_TOL
 
     def test_full_menu_marginals_must_match(self):
         space = AggregateSpace((X,), ("a", "b"))
