@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 from typing import Sequence
 
 from . import serialize
@@ -35,6 +36,8 @@ from .render import heatmap_svg
 from .serialize import Manifest, ManifestError
 from .simulation import (
     MARKET_MENUS,
+    UTILITY_SWEEP_TRIPLES,
+    MinMaxRow,
     SweepConfig,
     bias,
     composition_from_triples,
@@ -54,13 +57,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, output: str | None) -> None:
+    """Write text to the output path, or to stdout when there is none."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, output: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
 
 
 def _load(path: str | None) -> Manifest:
@@ -151,12 +158,7 @@ def _cmd_rationalize(args) -> int:
             "verification_residual": result.residual,
         },
     )
-    text = serialize.to_json(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize.to_json(out), args.output)
     return PASS
 
 
@@ -181,12 +183,7 @@ def _cmd_evaluate(args) -> int:
         manifest.preferences, manifest.correspondence, manifest.composition, domain
     )
     out = Manifest(space=manifest.space, choice=rho, metadata={"evaluated": True})
-    text = serialize.to_json(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize.to_json(out), args.output)
     return PASS
 
 
@@ -325,107 +322,54 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n", path)
+
+
+#: CSV columns written for each choice of --measures.
+MEASURED_COLUMNS = {
+    "bias": ("bias",),
+    "distance": ("squared_distance",),
+    "both": ("bias", "squared_distance"),
+}
 
 
 def _cmd_sweep(args) -> int:
+    highlight = None
     if args.mode == "minmax":
         rows = minmax_bias(outer_step=args.grid, inner_step=args.resolution)
-        header = [
-            "lam_w",
-            "lam_z",
-            "max_bias",
-            "min_bias",
-            "min_abs_bias",
-            "independent_bias",
-        ]
+        header = [f.name for f in fields(MinMaxRow)]
+        data = [astuple(r) for r in rows]
+        title = "bias at the menu-independent point"
+    else:
+        options = {"lambda_step": args.grid, "measures": args.measures}
+        if args.mode == "utility":
+            options.update(
+                utility_step=args.resolution, fixed_triples=UTILITY_SWEEP_TRIPLES
+            )
+        else:
+            highlight = (0.8, 0.1)
+        rows = sweep(SweepConfig(mode=args.mode, **options))
+        measured = MEASURED_COLUMNS[args.measures]
+        header = [name for name, _ in rows[0].point] + list(measured)
         data = [
-            (r.lam_w, r.lam_z, r.max_bias, r.min_bias, r.min_abs_bias, r.independent_bias)
+            tuple(v for _, v in r.point) + tuple(getattr(r, m) for m in measured)
             for r in rows
         ]
-        _write_csv(args.output_csv, header, data)
-        if args.output_svg:
-            points = [(r.lam_w, r.lam_z) for r in rows]
-            svg = heatmap_svg(
-                points,
-                [r.max_bias for r in rows],
-                "lam_w",
-                "lam_z",
-                "max bias over binary-market compositions",
-                signed=True,
-            )
-            with open(args.output_svg, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        return PASS
-
-    config = SweepConfig(
-        mode=args.mode,
-        lambda_step=args.grid,
-        utility_step=args.resolution if args.mode == "utility" else 0.5,
-        measures=args.measures,
-    )
-    rows = _run_sweep(config, args.jobs)
-    axes = [name for name, _ in rows[0].point]
-    header = axes + ["bias", "squared_distance"]
-    data = [
-        tuple(v for _, v in r.point) + (r.bias, r.squared_distance) for r in rows
-    ]
+        title = f"{header[-1]} ({args.mode} sweep)"
     _write_csv(args.output_csv, header, data)
     if args.output_svg:
-        measure = "bias" if args.measures == "bias" else "squared_distance"
-        values = [
-            (r.bias if measure == "bias" else r.squared_distance) for r in rows
-        ]
-        points = [(r.point[0][1], r.point[1][1]) for r in rows]
-        highlight = (0.8, 0.1) if args.mode == "lambda" else None
+        # The heatmap draws the last column over the first two.
         svg = heatmap_svg(
-            points,
-            values,
-            rows[0].point[0][0],
-            rows[0].point[1][0],
-            f"{measure} ({args.mode} sweep)",
+            [row[:2] for row in data],
+            [row[-1] for row in data],
+            header[0],
+            header[1],
+            title,
             highlight=highlight,
-            signed=measure == "bias",
+            signed=header[-1] != "squared_distance",
         )
-        with open(args.output_svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write(svg, args.output_svg)
     return PASS
-
-
-def _run_sweep(config: SweepConfig, jobs: int):
-    if jobs <= 1:
-        return sweep(config)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        if config.mode == "lambda":
-            from .simulation import simplex_grid
-
-            grid = simplex_grid(config.lambda_step)
-            configs = [
-                (config, ("lambda-point", point)) for point in grid
-            ]
-        else:
-            return sweep(config)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, configs))
-        return results
-    except OSError as err:
-        print(f"parallel sweep unavailable ({err}); running sequentially",
-              file=sys.stderr)
-        return sweep(config)
-
-
-def _sweep_point(item):
-    from .simulation import SweepRow, _measure
-
-    config, (_, point) = item
-    z, w, zw = point
-    triples = dict(config.fixed_triples)
-    triples[config.vary_menu] = (z, w, zw)
-    b, d = _measure(config.utilities, triples, config.measures)
-    return SweepRow((("lam_z", z), ("lam_w", w), ("lam_zw", zw)), b, d)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution", type=float, default=0.1, help="inner or utility step"
     )
     sw.add_argument("--measures", choices=("bias", "distance", "both"), default="both")
-    sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--output-csv", required=True)
     sw.add_argument("--output-svg")
     sw.set_defaults(func=_cmd_sweep)

@@ -26,6 +26,7 @@ import numpy as np
 from . import linprog
 from .errors import GroundMismatch, NotMenuIndependent, TooLarge, VerificationBug
 from .model import (
+    AggregateSpace,
     AggregationCorrespondence,
     ChoiceDomain,
     CompositionDistribution,
@@ -132,8 +133,7 @@ def is_menu_independent(
     marginals are pairwise consistent but admit no joint distribution.
     """
     space = correspondence.space
-    menus = [m for m in domain.menus if m & space.non_atomic_set]
-    menus = [m for m in menus if frozenset(m) in set(composition.menus())]
+    menus = _composed_menus(composition, space, domain)
 
     witnesses = []
     for first, second in itertools.combinations(menus, 2):
@@ -152,35 +152,59 @@ def is_menu_independent(
     if witnesses:
         return ConditionReport(holds=False, witnesses=tuple(witnesses))
 
-    non_atomic = space.non_atomic
-    if len(non_atomic) <= 1 or len(menus) <= 1:
+    if len(space.non_atomic) <= 1 or len(menus) <= 1:
         return ConditionReport(holds=True)
+    _, result = _solve_joint(composition, correspondence, menus)
+    if result.feasible:
+        return ConditionReport(holds=True)
+    witness = ("no-joint-distribution", None, result.residual)
+    return ConditionReport(holds=False, witnesses=(witness,))
 
-    atoms = 1
-    for a in non_atomic:
-        atoms *= 2 ** len(correspondence.underlying(a)) - 1
+
+def _composed_menus(
+    composition: CompositionDistribution, space: AggregateSpace, domain: ChoiceDomain
+) -> list[Menu]:
+    """Domain menus that hold a non-atomic aggregate and have a composition."""
+    composed = set(composition.menus())
+    return [
+        m for m in domain.menus if m & space.non_atomic_set and frozenset(m) in composed
+    ]
+
+
+def _solve_joint(
+    composition: CompositionDistribution,
+    correspondence: AggregationCorrespondence,
+    menus: list[Menu],
+) -> tuple[list[tuple[frozenset[str], ...]], linprog.FeasibilityResult]:
+    """Feasibility LP for a joint profile distribution with the menus' marginals.
+
+    One column per full composition profile (in `_tuple_space` order) and
+    one row per (menu, marginal tuple), plus the mass row.  Returns the
+    profiles with the solver's result.  Raises `TooLarge` when the
+    profile space exceeds `MAX_JOINT_ATOMS`.
+    """
+    space = correspondence.space
+    non_atomic = space.non_atomic
+    atoms = math.prod(2 ** len(correspondence.underlying(a)) - 1 for a in non_atomic)
     if atoms > MAX_JOINT_ATOMS:
         raise TooLarge(f"joint composition space has {atoms} atoms")
 
     joint = _tuple_space(correspondence, non_atomic)
-    index = {
-        profile: j for j, profile in enumerate(joint)
-    }
     rows, rhs = [], []
     for menu in menus:
         present = space.sort(menu & space.non_atomic_set)
         positions = [non_atomic.index(a) for a in present]
         groups: dict[CompositionTuple, list[int]] = {}
-        for profile, j in index.items():
+        for j, profile in enumerate(joint):
             key = CompositionTuple.of(
                 {a: profile[p] for a, p in zip(present, positions)}
             )
             groups.setdefault(key, []).append(j)
         dist = composition.for_menu(menu)
-        for key in set(groups) | set(dist):
+        # Rows in profile order, then any tuple no profile realizes.
+        for key in [*groups, *(k for k in dist if k not in groups)]:
             row = np.zeros(len(joint))
-            for j in groups.get(key, []):
-                row[j] = 1.0
+            row[groups.get(key, [])] = 1.0
             rows.append(row)
             rhs.append(dist.get(key, 0.0))
     rows.append(np.ones(len(joint)))
@@ -188,10 +212,7 @@ def is_menu_independent(
     result = linprog.solve_feasibility(
         np.array(rows), np.array(rhs), tol=MARGINAL_TOL * 10
     )
-    if result.feasible:
-        return ConditionReport(holds=True)
-    witness = ("no-joint-distribution", None, result.residual)
-    return ConditionReport(holds=False, witnesses=(witness,))
+    return joint, result
 
 
 def _marginal(
@@ -217,16 +238,7 @@ def unconditional_joint(
     """
     space = correspondence.space
     non_atomic = space.non_atomic
-    atoms = 1
-    for a in non_atomic:
-        atoms *= 2 ** len(correspondence.underlying(a)) - 1
-    if atoms > MAX_JOINT_ATOMS:
-        raise TooLarge(f"joint composition space has {atoms} atoms")
-    menus = [
-        m
-        for m in domain.menus
-        if m & space.non_atomic_set and frozenset(m) in set(composition.menus())
-    ]
+    menus = _composed_menus(composition, space, domain)
 
     covered: set[str] = set()
     for m in menus:
@@ -248,29 +260,7 @@ def unconditional_joint(
     if full_menus:
         return dict(composition.for_menu(full_menus[0]))
 
-    joint = _tuple_space(correspondence, non_atomic)
-    rows, rhs = [], []
-    for menu in menus:
-        present = space.sort(menu & space.non_atomic_set)
-        positions = [non_atomic.index(a) for a in present]
-        groups: dict[CompositionTuple, list[int]] = {}
-        for j, profile in enumerate(joint):
-            key = CompositionTuple.of(
-                {a: profile[p] for a, p in zip(present, positions)}
-            )
-            groups.setdefault(key, []).append(j)
-        dist = composition.for_menu(menu)
-        for key in set(groups) | set(dist):
-            row = np.zeros(len(joint))
-            for j in groups.get(key, []):
-                row[j] = 1.0
-            rows.append(row)
-            rhs.append(dist.get(key, 0.0))
-    rows.append(np.ones(len(joint)))
-    rhs.append(1.0)
-    result = linprog.solve_feasibility(
-        np.array(rows), np.array(rhs), tol=MARGINAL_TOL * 10
-    )
+    joint, result = _solve_joint(composition, correspondence, menus)
     if not result.feasible:
         raise NotMenuIndependent("no unconditional joint distribution exists")
     out: dict[CompositionTuple, float] = {}

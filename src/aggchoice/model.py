@@ -45,14 +45,13 @@ MAX_ENUMERATION_GROUND = 8
 
 def _validate_simplex(weights: Mapping, what: str) -> dict:
     """Check nonnegativity and total mass, renormalizing tiny drift."""
-    total = 0.0
     cleaned = {}
     for key, w in weights.items():
         if w < -PROB_TOL:
             raise InvalidProbability(f"{what}: negative weight {w!r} for {key!r}")
-        w = max(w, 0.0)
-        cleaned[key] = w
-        total += w
+        cleaned[key] = max(w, 0.0)
+    # fsum rounds once, so the total does not depend on iteration order.
+    total = math.fsum(cleaned.values())
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidProbability(f"{what}: total mass {total!r} differs from 1")
     if total != 1.0:

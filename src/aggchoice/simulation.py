@@ -112,12 +112,12 @@ def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
     return sorted(aggregates - {pinned})
 
 
-def _log_likelihood(
+def _gradient_and_hessian(
     rho: StochasticChoice, values: dict[str, float]
-) -> tuple[float, dict[str, float], np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Gradient and Hessian of the log likelihood over the sorted free params."""
     params = sorted(values)
     index = {a: i for i, a in enumerate(params)}
-    ll = 0.0
     grad = {a: 0.0 for a in params}
     hess = np.zeros((len(params), len(params)))
     for menu in rho.menus:
@@ -127,18 +127,14 @@ def _log_likelihood(
         p = np.exp(u)
         p /= p.sum()
         for a, pa in zip(items, p):
-            share = rho.prob(menu, a)
-            if share > 0.0:
-                ll += share * math.log(pa)
             if a in index:
-                grad[a] += share - pa
+                grad[a] += rho.prob(menu, a) - pa
         free = [i for i, a in enumerate(items) if a in index]
         for i in free:
             for j in free:
                 gi, gj = index[items[i]], index[items[j]]
                 hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
-    grad_vec = np.array([grad[a] for a in params])
-    return ll, grad, hess, params
+    return np.array([grad[a] for a in params]), hess, params
 
 
 def fit_aggregated_logit(
@@ -172,8 +168,7 @@ def fit_aggregated_logit(
 
     current = objective(values)
     for _ in range(MAX_NEWTON_ITERATIONS):
-        _, grad, hess, params = _log_likelihood(rho, values)
-        grad_vec = np.array([grad[a] for a in params])
+        grad_vec, hess, params = _gradient_and_hessian(rho, values)
         if np.abs(grad_vec).max() <= GRADIENT_TOL:
             out = {a: values[a] for a in free}
             out[normalize] = 0.0
@@ -220,6 +215,14 @@ SUBSET_ORDER = ("z", "w", "zw")  # coordinate convention for composition triples
 DEFAULT_UTILITIES: dict[str, float] = {"x": 2.0, "y": 1.0, "z": 3.0, "w": 0.0}
 
 BENCHMARK_TRIPLE = (0.8, 0.1, 0.1)
+
+#: Menu-dependent compositions of the utility sweep: the grand and x
+#: markets at the benchmark triple, the y market mostly realizing w.
+UTILITY_SWEEP_TRIPLES: dict[Menu, tuple[float, float, float]] = {
+    frozenset({"x", "y", "a0"}): BENCHMARK_TRIPLE,
+    frozenset({"x", "a0"}): BENCHMARK_TRIPLE,
+    frozenset({"y", "a0"}): (0.1, 0.8, 0.1),
+}
 
 
 def make_world() -> tuple[AggregateSpace, AggregationCorrespondence, ChoiceDomain]:
@@ -416,7 +419,9 @@ def minmax_bias(
     two binary markets; reported per outer point are the most positive
     bias, the most negative bias, the smallest absolute bias, and the
     bias of the menu-independent point where all three triples coincide.
-    Rows come out in (lam_w, lam_z) grid order, matching the table axes.
+    The three extremes range over the binary markets only, so they are
+    computed once and repeat in every row.  Rows come out in
+    (lam_w, lam_z) grid order, matching the table axes.
     """
     utilities = dict(DEFAULT_UTILITIES if utilities is None else utilities)
     vectors = _market_vectors(utilities)
@@ -429,6 +434,9 @@ def minmax_bias(
     ux_all = np.log(inner @ vectors["xa0_x"]) - np.log1p(-(inner @ vectors["xa0_x"]))
     uy_all = np.log(inner @ vectors["ya0_y"]) - np.log1p(-(inner @ vectors["ya0_y"]))
     biases = ux_all[:, None] - uy_all[None, :] - true_gap
+    max_bias = float(biases.max())
+    min_bias = float(biases.min())
+    min_abs_bias = float(np.abs(biases).min())
 
     rows: list[MinMaxRow] = []
     for z, w, zw in sorted(simplex_grid(outer_step), key=lambda t: (t[1], t[0])):
@@ -442,9 +450,9 @@ def minmax_bias(
             MinMaxRow(
                 lam_w=w,
                 lam_z=z,
-                max_bias=float(biases.max()),
-                min_bias=float(biases.min()),
-                min_abs_bias=float(np.abs(biases).min()),
+                max_bias=max_bias,
+                min_bias=min_bias,
+                min_abs_bias=min_abs_bias,
                 independent_bias=independent,
             )
         )

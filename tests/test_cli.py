@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aggchoice
 from aggchoice import (
     AggregateSpace,
     ChoiceDomain,
@@ -192,13 +197,44 @@ class TestSimulateAndSweep:
         assert len(lines) == 67  # header + 66 grid rows
         assert svg.read_text().startswith("<svg")
 
-    def test_parallel_sweep_matches_sequential(self, tmp_path):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        args = ["sweep", "--mode", "lambda", "--grid", "0.2", "--measures", "bias"]
-        assert main(args + ["--output-csv", str(seq)]) == 0
-        assert main(args + ["--jobs", "2", "--output-csv", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
+    @pytest.mark.parametrize(
+        "measures, header, row",
+        [
+            ("bias", "lam_z,lam_w,lam_zw,bias", "0,0,1,-0.26011101"),
+            (
+                "distance",
+                "lam_z,lam_w,lam_zw,squared_distance",
+                "0,0,1,0.000601869238",
+            ),
+        ],
+    )
+    def test_sweep_writes_only_measured_columns(
+        self, tmp_path, measures, header, row
+    ):
+        out = tmp_path / "sweep.csv"
+        svg = tmp_path / "sweep.svg"
+        argv = ["sweep", "--mode", "lambda", "--grid", "0.5", "--measures", measures]
+        assert main(argv + ["--output-csv", str(out), "--output-svg", str(svg)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [header, row]
+        assert len(lines) == 7
+        assert "None" not in out.read_text()
+        measure = header.rsplit(",", 1)[1]
+        assert f"{measure} (lambda sweep)" in svg.read_text()
+
+    def test_utility_csv_independent_of_hash_seed(self, tmp_path):
+        src = str(pathlib.Path(aggchoice.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"utility-{seed}.csv"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            argv = ["sweep", "--mode", "utility", "--resolution", "2.5"]
+            argv += ["--output-csv", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "aggchoice.cli", *argv], env=env, check=True
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_lambda_csv_bytes(self, tmp_path):
         out = tmp_path / "lambda.csv"

@@ -23,6 +23,7 @@ from aggchoice import (
 from aggchoice.simulation import (
     DEFAULT_UTILITIES,
     MARKET_MENUS,
+    UTILITY_SWEEP_TRIPLES,
     composition_from_triples,
     make_world,
 )
@@ -170,11 +171,11 @@ class TestFit:
             self.space,
             {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
         )
-        from aggchoice.simulation import _log_likelihood
+        from aggchoice.simulation import _gradient_and_hessian
 
         for _ in range(10):
             point = {"x": float(rng.normal()), "y": float(rng.normal())}
-            _, _, hess, _ = _log_likelihood(rho, point)
+            _, hess, _ = _gradient_and_hessian(rho, point)
             eigenvalues = np.linalg.eigvalsh(hess)
             assert (eigenvalues <= 1e-12).all()
 
@@ -254,11 +255,7 @@ class TestSweep:
             utility_high=2.0,
             utility_step=1.0,
             measures="distance",
-            fixed_triples={
-                frozenset({"x", "y", "a0"}): (0.8, 0.1, 0.1),
-                frozenset({"x", "a0"}): (0.8, 0.1, 0.1),
-                frozenset({"y", "a0"}): (0.1, 0.8, 0.1),
-            },
+            fixed_triples=UTILITY_SWEEP_TRIPLES,
         )
         rows = {tuple(v for _, v in r.point): r.squared_distance for r in sweep(config)}
         for radius in (1.0, 2.0):
