@@ -334,7 +334,8 @@ MEASURED_COLUMNS = {
 
 
 def _cmd_sweep(args) -> int:
-    highlight = None
+    # The lambda grid's menu-independent cell is outlined on its heatmap.
+    highlight = (0.8, 0.1) if args.mode == "lambda" else None
     if args.mode == "minmax":
         rows = minmax_bias(outer_step=args.grid, inner_step=args.resolution)
         header = [f.name for f in fields(MinMaxRow)]
@@ -346,8 +347,6 @@ def _cmd_sweep(args) -> int:
             options.update(
                 utility_step=args.resolution, fixed_triples=UTILITY_SWEEP_TRIPLES
             )
-        else:
-            highlight = (0.8, 0.1)
         rows = sweep(SweepConfig(mode=args.mode, **options))
         measured = MEASURED_COLUMNS[args.measures]
         header = [name for name, _ in rows[0].point] + list(measured)
