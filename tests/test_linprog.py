@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from aggchoice import NoConvergence, linprog
 from aggchoice.linprog import solve_feasibility
+from aggchoice.model import order_events
 
 
 def test_feasible_system():
@@ -92,3 +96,121 @@ def test_point_check_uses_callers_tolerance(monkeypatch):
     )
     result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
     assert result.feasible
+
+
+# Golden outputs of the phase-1 simplex.  The pivot sequence is fixed by
+# Bland's rule, so a rewrite that does the same float operations returns
+# the same bytes; a changed digest means a changed pivot or rounding.
+# The systems are built from exact formulas, not a random generator.
+
+
+def _digest(x):
+    return hashlib.sha256(x.tobytes()).hexdigest()
+
+
+def _aru_event_system():
+    """A 5-id ARU order-mixture LP: every menu of two or more ids, plus mass."""
+    ground = ("a", "b", "c", "d", "e")
+    menus = [
+        frozenset(c) for k in range(2, 6) for c in itertools.combinations(ground, k)
+    ]
+    cells = [(m, x) for m in menus for x in ground if x in m]
+    events = order_events(ground, cells)
+    a = np.vstack([events, np.ones((1, events.shape[1]))])
+    weights = np.zeros(a.shape[1])
+    weights[[5, 37, 64, 118]] = (0.5, 0.25, 0.125, 0.125)  # dyadic: b is exact
+    return a, a @ weights
+
+
+def _negative_rhs_system():
+    i, j = np.indices((6, 14))
+    a = ((3 * i + 5 * j + i * j) % 9 - 4) / 4.0
+    x = np.zeros(14)
+    x[[1, 4, 9, 12]] = (0.75, 0.5, 1.25, 0.25)
+    return a, a @ x
+
+
+def _degenerate_system():
+    """0/1 columns and a right-hand side with zeros: the ratio test ties."""
+    i, j = np.indices((8, 20))
+    a = (((i + 2 * j) % 5 == 0) | ((i * j) % 7 == 3)).astype(float)
+    x = np.zeros(20)
+    x[[2, 7, 11, 19]] = 1.0
+    return a, a @ x
+
+
+def _infeasible_system():
+    i, j = np.indices((5, 10))
+    a = ((2 * i + 3 * j) % 7) / 8.0
+    return a, np.array([1.0, 0.25, 2.0, 0.5, 1.5])
+
+
+@pytest.mark.parametrize(
+    "system, digest, residual",
+    [
+        (
+            _aru_event_system,
+            "dc8452539308256872e4e128120a7b022c0fd321b7c892a9c5134c8d87e2e116",
+            "-0.0",
+        ),
+        (
+            _negative_rhs_system,
+            "a4a3fa7e7e6a9b2d9305d674ff073ab08ea5cc506303767b587aa33f6ff73a5d",
+            "4.440892098500626e-16",
+        ),
+        (
+            _degenerate_system,
+            "615aa11e2e8f65896d61dda86c67c5e4a2f8da89cc86df6619c5d733b222c0fb",
+            "-0.0",
+        ),
+    ],
+    ids=["aru-5", "negative-rhs", "degenerate"],
+)
+def test_golden_feasible_points(system, digest, residual):
+    a, b = system()
+    result = solve_feasibility(a, b)
+    assert result.feasible
+    assert _digest(result.x) == digest
+    assert repr(result.residual) == residual
+
+
+def test_golden_infeasible_residual():
+    a, b = _infeasible_system()
+    result = solve_feasibility(a, b)
+    assert not result.feasible
+    assert result.x is None
+    assert repr(result.residual) == "2.2083333333333335"
+
+
+def test_golden_systems_exercise_their_cases():
+    assert (_negative_rhs_system()[1] < 0).sum() == 4
+    assert (_degenerate_system()[1] == 0).sum() == 2
+
+
+def test_verdicts_agree_with_highs():
+    """Seeded random systems: the verdict matches HiGHS, and x solves a @ x = b."""
+    optimize = pytest.importorskip("scipy.optimize")
+    verdicts = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 9)), int(rng.integers(3, 25))
+        if seed % 3 == 0:
+            a = (rng.random((m, n)) < 0.4).astype(float)
+        else:
+            a = rng.standard_normal((m, n))
+        if seed % 2 == 0:
+            x = rng.random(n) * (rng.random(n) < 0.3)
+            b = a @ x
+        else:
+            b = rng.standard_normal(m)
+        ours = solve_feasibility(a, b)
+        highs = optimize.linprog(
+            np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs"
+        )
+        assert highs.status in (0, 2), highs.message
+        assert ours.feasible == (highs.status == 0), seed
+        if ours.feasible:
+            assert (ours.x >= 0).all()
+            assert np.abs(a @ ours.x - b).max() <= linprog.FEAS_TOL
+        verdicts.append(ours.feasible)
+    assert 10 <= sum(verdicts) <= 40  # both verdicts are exercised
