@@ -27,9 +27,18 @@ _MAX_PIVOTS = 200_000
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The verdict, the point and how it was reached.
+
+    `residual` is the phase-1 objective (the artificial mass left),
+    `pivots` the number of Bland pivots, and `max_residual` the largest
+    ``|a @ x - b|`` of the returned point (0.0 when there is none).
+    """
+
     feasible: bool
     x: np.ndarray | None
     residual: float
+    pivots: int = 0
+    max_residual: float = 0.0
 
 
 def solve_feasibility(
@@ -48,9 +57,9 @@ def solve_feasibility(
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError("b must match the row count of a")
-    x, residual = _phase_one(a, b)
+    x, residual, pivots = _phase_one(a, b)
     if residual > tol:
-        return FeasibilityResult(False, None, residual)
+        return FeasibilityResult(False, None, residual, pivots)
     if not (x >= 0.0).all():
         raise NoConvergence("simplex point has a negative or undefined entry")
     miss = float(np.abs(a @ x - b).max(initial=0.0))
@@ -58,35 +67,41 @@ def solve_feasibility(
         raise NoConvergence(
             f"simplex point misses a @ x = b by {miss!r} (tolerance {tol!r})"
         )
-    return FeasibilityResult(True, x, max(residual, 0.0))
+    return FeasibilityResult(True, x, max(residual, 0.0), pivots, miss)
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Phase-1 simplex: the final basic point and its artificial mass."""
+def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Phase-1 simplex: the final basic point, its artificial mass and the
+    number of pivots.
+
+    The tableau holds no artificial columns.  Bland's rule never reads
+    them: a basic artificial's column is a unit vector with reduced cost
+    exactly 0, and one that leaves the basis may never re-enter.  Basis
+    entries ``n + r`` still name the artificial of row r, so ties in the
+    ratio test break as if the columns were there.
+    """
     m, n = a.shape
 
-    # Flip rows so the right-hand side is nonnegative.
-    flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-
-    # Tableau [A | I | b]; objective row below carries reduced costs for
+    # Tableau [A | b] with rows flipped so the right-hand side is
+    # nonnegative; the objective row below carries reduced costs for
     # minimizing the artificial sum, with -objective in its RHS cell.
-    tab = np.zeros((m + 1, n + m + 1))
+    flip = b < 0
+    b = np.where(flip, -b, b)
+    tab = np.zeros((m + 1, n + 1))
     tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
+    np.negative(tab[:m, :n], out=tab[:m, :n], where=flip[:, None])
     tab[:m, -1] = b
-    tab[m, :n] = -a.sum(axis=0)
+    tab[m, :n] = -tab[:m, :n].sum(axis=0)
     tab[m, -1] = -b.sum()
 
     basis = list(range(n, n + m))
-    blocked = np.zeros(n + m, dtype=bool)  # artificials that left the basis
-
-    for _ in range(_MAX_PIVOTS):
-        costs = tab[m, : n + m]
-        candidates = np.where((costs < -PIVOT_TOL) & ~blocked)[0]
+    pivots = 0
+    while True:
+        candidates = np.flatnonzero(tab[m, :n] < -PIVOT_TOL)
         if candidates.size == 0:
             break
+        if pivots == _MAX_PIVOTS:
+            raise NoConvergence("simplex pivot cap exceeded")
         col = int(candidates[0])  # Bland: smallest eligible index
         ratios = np.full(m, np.inf)
         positive = tab[:m, col] > PIVOT_TOL
@@ -96,22 +111,17 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
             # Unbounded phase-1 cannot happen with artificial costs >= 0;
             # treat defensively as a failed pivot.
             break
-        tied = np.where(ratios <= best + PIVOT_TOL * (1 + abs(best)))[0]
+        tied = np.flatnonzero(ratios <= best + PIVOT_TOL * (1 + abs(best)))
         row = int(min(tied, key=lambda r: basis[r]))  # Bland on ties
 
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        other = np.arange(m + 1) != row
-        tab[other] -= np.outer(tab[other, col], tab[row])
-        leaving = basis[row]
-        if leaving >= n:
-            blocked[leaving] = True
+        tab[row] /= tab[row, col]
+        tab[:row] -= np.outer(tab[:row, col], tab[row])
+        tab[row + 1 :] -= np.outer(tab[row + 1 :, col], tab[row])
         basis[row] = col
-    else:
-        raise NoConvergence("simplex pivot cap exceeded")
+        pivots += 1
 
     x = np.zeros(n)
     for r, j in enumerate(basis):
         if j < n:
             x[j] = max(tab[r, -1], 0.0)
-    return x, float(-tab[m, -1])
+    return x, float(-tab[m, -1]), pivots

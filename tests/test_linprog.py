@@ -85,17 +85,33 @@ def test_random_feasible_batch():
     ],
 )
 def test_returned_point_is_checked(monkeypatch, point):
-    monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (np.array(point), 0.0))
+    monkeypatch.setattr(
+        linprog, "_phase_one", lambda a, b: (np.array(point), 0.0, 1)
+    )
     with pytest.raises(NoConvergence):
         solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-9)
 
 
 def test_point_check_uses_callers_tolerance(monkeypatch):
     monkeypatch.setattr(
-        linprog, "_phase_one", lambda a, b: (np.array([1.0 + 1e-8, 0.0]), 0.0)
+        linprog, "_phase_one", lambda a, b: (np.array([1.0 + 1e-8, 0.0]), 0.0, 1)
     )
     result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
     assert result.feasible
+    assert result.max_residual == pytest.approx(1e-8)
+
+
+def test_result_reports_pivots_and_max_residual():
+    a, b = _aru_event_system()
+    result = solve_feasibility(a, b)
+    assert result.feasible
+    assert result.pivots > 0
+    assert result.max_residual == float(np.abs(a @ result.x - b).max())
+    assert result.max_residual <= linprog.FEAS_TOL
+    infeasible = solve_feasibility(*_infeasible_system())
+    assert not infeasible.feasible
+    assert infeasible.pivots > 0
+    assert infeasible.max_residual == 0.0
 
 
 # Golden outputs of the phase-1 simplex.  The pivot sequence is fixed by
