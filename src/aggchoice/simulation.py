@@ -404,6 +404,28 @@ class MinMaxRow:
     independent_bias: float
 
 
+def _bias_extremes(
+    ux: np.ndarray, uy: np.ndarray, gap: float
+) -> tuple[float, float, float]:
+    """Max, min and min-abs of ``ux[i] - uy[j] - gap`` over all pairs (i, j).
+
+    Gives the floats of the full pair matrix without building it.
+    Rounding is monotone, so the bias rises with ux[i] and falls with
+    uy[j]: the max and min come from the extremes of ux and uy, and for
+    each ux[i] the smallest absolute bias sits where the bias changes
+    sign along the sorted uy.  That is at the insertion point of
+    ``ux[i] - gap``, up to rounding, so its two neighbours on each side
+    are checked.  The inputs must be finite.
+    """
+    max_bias = ux.max() - uy.min() - gap
+    min_bias = ux.min() - uy.max() - gap
+    uy_sorted = np.sort(uy)
+    at = np.searchsorted(uy_sorted, ux - gap)
+    near = np.clip(at[:, None] + np.arange(-2, 2), 0, len(uy) - 1)
+    min_abs_bias = np.abs(ux[:, None] - uy_sorted[near] - gap).min()
+    return float(max_bias), float(min_bias), float(min_abs_bias)
+
+
 def minmax_bias(
     utilities: Mapping[str, float] | None = None,
     outer_step: float = 0.1,
@@ -433,10 +455,7 @@ def minmax_bias(
     inner = np.array(simplex_grid(inner_step))
     ux_all = np.log(inner @ vectors["xa0_x"]) - np.log1p(-(inner @ vectors["xa0_x"]))
     uy_all = np.log(inner @ vectors["ya0_y"]) - np.log1p(-(inner @ vectors["ya0_y"]))
-    biases = ux_all[:, None] - uy_all[None, :] - true_gap
-    max_bias = float(biases.max())
-    min_bias = float(biases.min())
-    min_abs_bias = float(np.abs(biases).min())
+    max_bias, min_bias, min_abs_bias = _bias_extremes(ux_all, uy_all, true_gap)
 
     rows: list[MinMaxRow] = []
     for z, w, zw in sorted(simplex_grid(outer_step), key=lambda t: (t[1], t[0])):

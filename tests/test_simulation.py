@@ -24,6 +24,7 @@ from aggchoice.simulation import (
     DEFAULT_UTILITIES,
     MARKET_MENUS,
     UTILITY_SWEEP_TRIPLES,
+    _bias_extremes,
     composition_from_triples,
     make_world,
 )
@@ -310,6 +311,20 @@ class TestMinMax:
 
     def test_row_count(self):
         assert len(minmax_bias()) == 66
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_extremes_match_the_pair_matrix(self, seed):
+        # Short grids of close values, with repeats, put many pairs within
+        # a few ulps of the gap, where the sign change is decided.
+        rng = np.random.default_rng(seed)
+        gap = float(rng.normal())
+        ux = gap + rng.choice(rng.normal(scale=1e-15, size=7), size=40)
+        uy = rng.choice(rng.normal(scale=10.0 ** -rng.integers(0, 16), size=9), size=30)
+        if seed % 2:
+            ux, uy = rng.normal(size=60), rng.normal(size=50)
+        biases = ux[:, None] - uy[None, :] - gap
+        expected = (biases.max(), biases.min(), np.abs(biases).min())
+        assert _bias_extremes(ux, uy, gap) == tuple(map(float, expected))
 
 
 class TestCoMovement:
