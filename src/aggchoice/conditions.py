@@ -103,11 +103,18 @@ def lift_aru_to_nonoverlapping(
 
 
 def _tuple_space(
-    correspondence: AggregationCorrespondence, aggregates: tuple[str, ...]
+    correspondence: AggregationCorrespondence,
+    aggregates: tuple[str, ...],
+    covered: set[str],
 ) -> list[tuple[frozenset[str], ...]]:
+    """Composition profiles of `aggregates`; those not `covered` keep
+    their full underlying set."""
     per_aggregate = []
     for a in aggregates:
         members = correspondence.underlying(a)
+        if a not in covered:
+            per_aggregate.append([frozenset(members)])
+            continue
         subsets = [
             frozenset(c)
             for r in range(1, len(members) + 1)
@@ -179,17 +186,21 @@ def _solve_joint(
     """Feasibility LP for a joint profile distribution with the menus' marginals.
 
     One column per full composition profile (in `_tuple_space` order) and
-    one row per (menu, marginal tuple), plus the mass row.  Returns the
-    profiles with the solver's result.  Raises `TooLarge` when the
-    profile space exceeds `MAX_JOINT_ATOMS`.
+    one row per (menu, marginal tuple), plus the mass row.  An aggregate
+    in no menu meets no row, so it is pinned to its full underlying set.
+    Returns the profiles with the solver's result.  Raises `TooLarge` when
+    the profile space exceeds `MAX_JOINT_ATOMS`.
     """
     space = correspondence.space
     non_atomic = space.non_atomic
-    atoms = math.prod(2 ** len(correspondence.underlying(a)) - 1 for a in non_atomic)
+    covered = set().union(*menus) & space.non_atomic_set
+    atoms = math.prod(
+        2 ** len(correspondence.underlying(a)) - 1 for a in non_atomic if a in covered
+    )
     if atoms > MAX_JOINT_ATOMS:
         raise TooLarge(f"joint composition space has {atoms} atoms")
 
-    joint = _tuple_space(correspondence, non_atomic)
+    joint = _tuple_space(correspondence, non_atomic, covered)
     rows, rhs = [], []
     for menu in menus:
         present = space.sort(menu & space.non_atomic_set)
@@ -240,19 +251,10 @@ def unconditional_joint(
     non_atomic = space.non_atomic
     menus = _composed_menus(composition, space, domain)
 
-    covered: set[str] = set()
-    for m in menus:
-        covered |= set(m) & set(non_atomic)
-    defaults = {
-        a: frozenset(correspondence.underlying(a))
-        for a in non_atomic
-        if a not in covered
-    }
-
     if len(non_atomic) == 1:
         (a,) = non_atomic
         if not menus:
-            return {CompositionTuple.of({a: defaults[a]}): 1.0}
+            return {CompositionTuple.of({a: correspondence.underlying(a)}): 1.0}
         base = composition.for_menu(menus[0])
         return dict(base)
 

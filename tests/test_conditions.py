@@ -210,6 +210,31 @@ class TestMenuIndependence:
                 gap = abs(marginal.get(t, 0.0) - expected.get(t, 0.0))
                 assert gap <= MARGINAL_TOL
 
+    def test_aggregate_in_no_menu_defaults_to_full_set_on_the_lp_path(self):
+        # Two of the three aggregates share a menu with x, none shares one
+        # with each other, and c is in no menu: the LP path must still give
+        # c its full underlying set, as the one-aggregate path does.
+        space = AggregateSpace((X,), ("a", "b", "c"))
+        corr = AggregationCorrespondence.identity_atomic(
+            space, {k: (f"{k}1", f"{k}2") for k in ("a", "b", "c")}
+        )
+        menus = [frozenset({X, "a"}), frozenset({X, "b"})]
+        dom = ChoiceDomain(space, tuple(menus))
+        lam = CompositionDistribution(
+            {
+                menus[0]: {
+                    CompositionTuple.of({"a": {"a1"}}): 0.5,
+                    CompositionTuple.of({"a": {"a1", "a2"}}): 0.5,
+                },
+                menus[1]: {CompositionTuple.of({"b": {"b2"}}): 1.0},
+            }
+        )
+        joint = unconditional_joint(lam, corr, dom)
+        assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+        assert {t.part("c") for t in joint} == {frozenset({"c1", "c2"})}
+        assert {t.part("b") for t in joint} == {frozenset({"b2"})}
+        assert is_menu_independent(lam, corr, dom).holds
+
     def test_full_menu_marginals_must_match(self):
         space = AggregateSpace((X,), ("a", "b"))
         corr = AggregationCorrespondence.identity_atomic(
