@@ -98,20 +98,6 @@ def test_point_check_uses_callers_tolerance(monkeypatch):
     )
     result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
     assert result.feasible
-    assert result.max_residual == pytest.approx(1e-8)
-
-
-def test_result_reports_pivots_and_max_residual():
-    a, b = _aru_event_system()
-    result = solve_feasibility(a, b)
-    assert result.feasible
-    assert result.pivots > 0
-    assert result.max_residual == float(np.abs(a @ result.x - b).max())
-    assert result.max_residual <= linprog.FEAS_TOL
-    infeasible = solve_feasibility(*_infeasible_system())
-    assert not infeasible.feasible
-    assert infeasible.pivots > 0
-    assert infeasible.max_residual == 0.0
 
 
 # Golden outputs of the phase-1 simplex.  The pivot sequence is fixed by
@@ -230,3 +216,16 @@ def test_verdicts_agree_with_highs():
             assert np.abs(a @ ours.x - b).max() <= linprog.FEAS_TOL
         verdicts.append(ours.feasible)
     assert 10 <= sum(verdicts) <= 40  # both verdicts are exercised
+
+
+def test_result_reports_pivots_and_max_residual():
+    a, b = _aru_event_system()
+    result = solve_feasibility(a, b)
+    assert result.feasible
+    assert result.pivots > 0
+    assert result.max_residual == float(np.abs(a @ result.x - b).max())
+    assert result.max_residual <= linprog.FEAS_TOL
+    infeasible = solve_feasibility(*_infeasible_system())
+    assert not infeasible.feasible
+    assert infeasible.pivots > 0
+    assert infeasible.max_residual == 0.0
