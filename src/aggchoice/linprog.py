@@ -24,6 +24,11 @@ FEAS_TOL = 1e-9
 
 _MAX_PIVOTS = 200_000
 
+#: A pivot updates the tableau in blocks of rows of about this many bytes,
+#: so the outer-product temporary stays small and in cache however wide
+#: the tableau is.
+_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -71,8 +76,7 @@ def solve_feasibility(
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Phase-1 simplex: the final basic point, its artificial mass and the
-    number of pivots.
+    """Phase-1 simplex: final basic point, artificial mass and pivot count.
 
     The tableau holds no artificial columns.  Bland's rule never reads
     them: a basic artificial's column is a unit vector with reduced cost
@@ -94,6 +98,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     tab[m, :n] = -tab[:m, :n].sum(axis=0)
     tab[m, -1] = -b.sum()
 
+    step = max(1, _BLOCK_BYTES // tab[0].nbytes)
     basis = list(range(n, n + m))
     pivots = 0
     while True:
@@ -114,9 +119,12 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
         tied = np.flatnonzero(ratios <= best + PIVOT_TOL * (1 + abs(best)))
         row = int(min(tied, key=lambda r: basis[r]))  # Bland on ties
 
-        tab[row] /= tab[row, col]
-        tab[:row] -= np.outer(tab[:row, col], tab[row])
-        tab[row + 1 :] -= np.outer(tab[row + 1 :, col], tab[row])
+        pivot_row = tab[row]
+        pivot_row /= pivot_row[col]
+        for start, stop in ((0, row), (row + 1, m + 1)):
+            for lo in range(start, stop, step):
+                block = tab[lo : min(lo + step, stop)]
+                block -= np.outer(block[:, col], pivot_row)
         basis[row] = col
         pivots += 1
 
