@@ -31,7 +31,6 @@ from .errors import (
 from .model import (
     AggregateSpace,
     ChoiceDomain,
-    LinearOrder,
     Menu,
     PreferenceDistribution,
     StochasticChoice,
@@ -154,34 +153,28 @@ def bm_polynomial(
     return math.fsum(terms)
 
 
-def _certificate_from(
-    orders: list[LinearOrder], weights: np.ndarray
-) -> PreferenceDistribution:
-    support = {
-        order: float(w) for order, w in zip(orders, weights) if w > 1e-15
-    }
-    total = math.fsum(support.values())
-    return PreferenceDistribution({o: w / total for o, w in support.items()})
-
-
 def _lp_rationalize(
-    rho: StochasticChoice, menus: list[Menu], ground: tuple[str, ...]
-) -> tuple[bool, PreferenceDistribution | None, float]:
+    rho: StochasticChoice,
+    menus: list[Menu],
+    ground: tuple[str, ...],
+    kind: str,
+) -> AxiomReport:
     """Exact feasibility of a random-utility model on the given menus.
 
-    A feasible point is renormalized into a certificate and replayed
-    against the data; a replay that misses by more than CERTIFICATE_TOL
-    raises.
+    The LP's support is the certificate, replayed against the data; a
+    replay that misses by more than CERTIFICATE_TOL raises.  An
+    infeasible LP gives one violation of the given kind.
     """
     position = {a: i for i, a in enumerate(ground)}
     cells = [(m, a) for m in menus for a in sorted(m, key=position.__getitem__)]
     events = order_events(ground, cells)
-    a = np.vstack([events, np.ones((1, events.shape[1]))])
-    b = np.array([rho.prob(m, x) for m, x in cells] + [1.0])
-    result = linprog.solve_feasibility(a, b, tol=LP_TOL)
+    b = np.array([rho.prob(m, x) for m, x in cells])
+    result, support = linprog.solve_mixture(events, b, LP_TOL)
     if not result.feasible:
-        return False, None, result.residual
-    certificate = _certificate_from(all_orders(ground), result.x)
+        violation = Violation(kind, (), -result.residual, 0.0)
+        return AxiomReport(passed=False, violations=(violation,), method="lp")
+    orders = all_orders(ground)
+    certificate = PreferenceDistribution({orders[j]: w for j, w in support.items()})
     # The replay space holds exactly the ids the certificate ranks.
     replay = aru_evaluate(
         certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
@@ -192,7 +185,7 @@ def _lp_rationalize(
             f"LP certificate misses the data by {miss!r}"
             f" (tolerance {CERTIFICATE_TOL!r})"
         )
-    return True, certificate, result.residual
+    return AxiomReport(passed=True, certificate=certificate, method="lp")
 
 
 def check_partial_ru(
@@ -235,11 +228,7 @@ def check_partial_ru(
         raise DomainTooLarge(
             f"LP route enumerates {len(atoms)}! orders; cap is {MAX_ATOMIC_LP}"
         )
-    feasible, certificate, residual = _lp_rationalize(rho, menus, atoms)
-    if feasible:
-        return AxiomReport(passed=True, certificate=certificate, method="lp")
-    violation = Violation("partial-ru-lp-infeasible", (), -residual, 0.0)
-    return AxiomReport(passed=False, violations=(violation,), method="lp")
+    return _lp_rationalize(rho, menus, atoms, "partial-ru-lp-infeasible")
 
 
 def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
@@ -262,11 +251,4 @@ def check_aru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRep
     mixture reproduces the whole table; a feasible mixture is returned
     as certificate.
     """
-    ground = space.members
-    feasible, certificate, residual = _lp_rationalize(
-        rho, list(rho.menus), ground
-    )
-    if feasible:
-        return AxiomReport(passed=True, certificate=certificate, method="lp")
-    violation = Violation("aru-lp-infeasible", (), -residual, 0.0)
-    return AxiomReport(passed=False, violations=(violation,), method="lp")
+    return _lp_rationalize(rho, list(rho.menus), space.members, "aru-lp-infeasible")

@@ -452,9 +452,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except ManifestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
     except AggChoiceError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE

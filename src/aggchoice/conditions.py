@@ -139,6 +139,33 @@ def is_menu_independent(
     necessary condition, or a single infeasibility record when the
     marginals are pairwise consistent but admit no joint distribution.
     """
+    report, _ = _joint(composition, correspondence, domain)
+    return report
+
+
+def _composed_menus(
+    composition: CompositionDistribution, space: AggregateSpace, domain: ChoiceDomain
+) -> list[Menu]:
+    """Domain menus that hold a non-atomic aggregate and have a composition."""
+    composed = set(composition.menus())
+    return [
+        m for m in domain.menus if m & space.non_atomic_set and frozenset(m) in composed
+    ]
+
+
+def _joint(
+    composition: CompositionDistribution,
+    correspondence: AggregationCorrespondence,
+    domain: ChoiceDomain,
+) -> tuple[ConditionReport, dict[CompositionTuple, float] | None]:
+    """The menu-independence verdict and, when it holds, a joint profile
+    distribution whose marginals are every menu's distribution.
+
+    Checks the menus pairwise first.  Once they agree, a menu holding
+    every non-atomic aggregate is itself a joint; otherwise the joint
+    comes from the feasibility LP, and aggregates in no menu keep their
+    full underlying set.
+    """
     space = correspondence.space
     menus = _composed_menus(composition, space, domain)
 
@@ -157,39 +184,35 @@ def is_menu_independent(
             if gap > MARGINAL_TOL:
                 witnesses.append(((first, second), t, gap))
     if witnesses:
-        return ConditionReport(holds=False, witnesses=tuple(witnesses))
+        return ConditionReport(holds=False, witnesses=tuple(witnesses)), None
 
-    if len(space.non_atomic) <= 1 or len(menus) <= 1:
-        return ConditionReport(holds=True)
-    _, result = _solve_joint(composition, correspondence, menus)
-    if result.feasible:
-        return ConditionReport(holds=True)
-    witness = ("no-joint-distribution", None, result.residual)
-    return ConditionReport(holds=False, witnesses=(witness,))
-
-
-def _composed_menus(
-    composition: CompositionDistribution, space: AggregateSpace, domain: ChoiceDomain
-) -> list[Menu]:
-    """Domain menus that hold a non-atomic aggregate and have a composition."""
-    composed = set(composition.menus())
-    return [
-        m for m in domain.menus if m & space.non_atomic_set and frozenset(m) in composed
-    ]
+    full_menus = [m for m in menus if space.non_atomic_set <= m]
+    if full_menus:
+        return ConditionReport(holds=True), dict(composition.for_menu(full_menus[0]))
+    joint, result, support = _solve_joint(composition, correspondence, menus)
+    if not result.feasible:
+        witness = ("no-joint-distribution", None, result.residual)
+        return ConditionReport(holds=False, witnesses=(witness,)), None
+    return ConditionReport(holds=True), {
+        CompositionTuple.of(dict(zip(space.non_atomic, joint[j]))): w
+        for j, w in support.items()
+    }
 
 
 def _solve_joint(
     composition: CompositionDistribution,
     correspondence: AggregationCorrespondence,
     menus: list[Menu],
-) -> tuple[list[tuple[frozenset[str], ...]], linprog.FeasibilityResult]:
+) -> tuple[
+    list[tuple[frozenset[str], ...]], linprog.FeasibilityResult, dict[int, float]
+]:
     """Feasibility LP for a joint profile distribution with the menus' marginals.
 
     One column per full composition profile (in `_tuple_space` order) and
-    one row per (menu, marginal tuple), plus the mass row.  An aggregate
-    in no menu meets no row, so it is pinned to its full underlying set.
-    Returns the profiles with the solver's result.  Raises `TooLarge` when
-    the profile space exceeds `MAX_JOINT_ATOMS`.
+    one row per (menu, marginal tuple).  An aggregate in no menu meets no
+    row, so it is pinned to its full underlying set.  Returns the
+    profiles with the result of `linprog.solve_mixture`.  Raises
+    `TooLarge` when the profile space exceeds `MAX_JOINT_ATOMS`.
     """
     space = correspondence.space
     non_atomic = space.non_atomic
@@ -214,16 +237,16 @@ def _solve_joint(
         dist = composition.for_menu(menu)
         # Rows in profile order, then any tuple no profile realizes.
         for key in [*groups, *(k for k in dist if k not in groups)]:
-            row = np.zeros(len(joint))
-            row[groups.get(key, [])] = 1.0
+            row = np.zeros(len(joint), dtype=bool)
+            row[groups.get(key, [])] = True
             rows.append(row)
             rhs.append(dist.get(key, 0.0))
-    rows.append(np.ones(len(joint)))
-    rhs.append(1.0)
-    result = linprog.solve_feasibility(
-        np.array(rows), np.array(rhs), tol=MARGINAL_TOL * 10
+    result, support = linprog.solve_mixture(
+        np.array(rows).reshape(len(rows), len(joint)),
+        np.array(rhs),
+        MARGINAL_TOL * 10,
     )
-    return joint, result
+    return joint, result, support
 
 
 def _marginal(
@@ -243,38 +266,16 @@ def unconditional_joint(
 ) -> dict[CompositionTuple, float]:
     """A joint composition profile generating every per-menu distribution.
 
-    For a single non-atomic aggregate this is any menu's distribution;
-    in general it is extracted from the feasibility LP.  Aggregates that
-    appear in no menu default to their full underlying set.
+    When the menus agree pairwise and one of them holds every non-atomic
+    aggregate, this is that menu's distribution; otherwise it is
+    extracted from the feasibility LP.  Aggregates that appear in no
+    menu default to their full underlying set.  Raises
+    `NotMenuIndependent` when no joint exists.
     """
-    space = correspondence.space
-    non_atomic = space.non_atomic
-    menus = _composed_menus(composition, space, domain)
-
-    if len(non_atomic) == 1:
-        (a,) = non_atomic
-        if not menus:
-            return {CompositionTuple.of({a: correspondence.underlying(a)}): 1.0}
-        base = composition.for_menu(menus[0])
-        return dict(base)
-
-    full_menus = [m for m in menus if set(non_atomic) <= m]
-    if full_menus:
-        return dict(composition.for_menu(full_menus[0]))
-
-    joint, result = _solve_joint(composition, correspondence, menus)
-    if not result.feasible:
+    report, joint = _joint(composition, correspondence, domain)
+    if not report.holds:
         raise NotMenuIndependent("no unconditional joint distribution exists")
-    out: dict[CompositionTuple, float] = {}
-    for profile, w in zip(joint, result.x):
-        if w <= 1e-15:
-            continue
-        parts = {a: profile[i] for i, a in enumerate(non_atomic)}
-        out[CompositionTuple.of(parts)] = out.get(
-            CompositionTuple.of(parts), 0.0
-        ) + float(w)
-    total = math.fsum(out.values())
-    return {t: w / total for t, w in out.items()}
+    return joint
 
 
 def collapse_to_aru(
@@ -293,12 +294,11 @@ def collapse_to_aru(
     (verified internally before returning).
     """
     space = correspondence.space
-    report = is_menu_independent(composition, correspondence, domain)
+    report, joint = _joint(composition, correspondence, domain)
     if not report.holds:
         raise NotMenuIndependent(
             "composition distribution is not menu-independent"
         )
-    joint = unconditional_joint(composition, correspondence, domain)
 
     weights: dict[LinearOrder, float] = {}
     for profile, pw in joint.items():

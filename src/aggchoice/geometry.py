@@ -553,7 +553,8 @@ def grid_oracle_ru_n(
     n_orders = len(winners)
     checked = 0
 
-    def solve(rows: list[tuple[np.ndarray, float]]) -> np.ndarray | None:
+    def solve(rows: list[tuple[np.ndarray, float]]) -> dict[int, float] | None:
+        """The support of a feasible mixture, by order index, or None."""
         forced_zero = np.zeros(n_orders, dtype=bool)
         for row, rhs in rows:
             if rhs == 0.0 and (row >= 0).all():
@@ -565,25 +566,18 @@ def grid_oracle_ru_n(
         for row, rhs in rows:
             if rhs > GRID_TOL and np.clip(row, 0.0, None)[~forced_zero].sum() < rhs:
                 return None
-        a = np.vstack([row for row, _ in rows] + [np.ones(n_orders)])
-        if forced_zero.any():
-            keep = ~forced_zero
-            a = a[:, keep]
-        b = np.array([rhs for _, rhs in rows] + [1.0])
-        result = linprog.solve_feasibility(a, b, tol=GRID_TOL)
+        keep = np.flatnonzero(~forced_zero)
+        a = np.array([row[keep] for row, _ in rows]).reshape(len(rows), keep.size)
+        b = np.array([rhs for _, rhs in rows])
+        result, support = linprog.solve_mixture(a, b, GRID_TOL)
         if not result.feasible:
             return None
-        x = np.zeros(n_orders)
-        if forced_zero.any():
-            x[~forced_zero] = result.x
-        else:
-            x = result.x
-        return x
+        return {int(keep[j]): w for j, w in support.items()}
 
     base_rows = list(zip(atomic_rows, atomic_rhs))
     assignment: dict[Menu, dict[frozenset[str], float]] = {}
 
-    def dfs(level: int, rows: list) -> np.ndarray | None:
+    def dfs(level: int, rows: list) -> dict[int, float] | None:
         nonlocal checked
         if level == len(plans):
             return solve(rows)
@@ -600,16 +594,12 @@ def grid_oracle_ru_n(
             del assignment[plan.menu]
         return None
 
-    mu_vec = dfs(0, base_rows)
-    if mu_vec is None:
+    support = dfs(0, base_rows)
+    if support is None:
         return GridOracleResult(False, None, checked)
 
-    support = {
-        nth_order(ground, i): float(w) for i, w in enumerate(mu_vec) if w > 1e-15
-    }
-    total_mass = math.fsum(support.values())
     prefs = PreferenceDistribution(
-        {o: w / total_mass for o, w in support.items()}
+        {nth_order(ground, i): w for i, w in support.items()}
     )
     correspondence = AggregationCorrespondence.identity_atomic(
         space, {outside: synthetic}

@@ -10,6 +10,7 @@ feasible point, so returned certificates are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 
 _MAX_PIVOTS = 200_000
+
+#: Mixture weights at or below this are dropped from the support.
+SUPPORT_FLOOR = 1e-15
 
 #: A pivot updates the tableau in blocks of rows of about this many bytes,
 #: so the outer-product temporary stays small and in cache however wide
@@ -58,7 +62,7 @@ def solve_feasibility(
     checked before it is returned: a negative entry or a row of
     ``a @ x - b`` off by more than `tol` raises `NoConvergence`.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError("b must match the row count of a")
@@ -73,6 +77,29 @@ def solve_feasibility(
             f"simplex point misses a @ x = b by {miss!r} (tolerance {tol!r})"
         )
     return FeasibilityResult(True, x, max(residual, 0.0), pivots, miss)
+
+
+def solve_mixture(
+    rows: np.ndarray, rhs: np.ndarray, tol: float
+) -> tuple[FeasibilityResult, dict[int, float]]:
+    """Is `rhs` a probability mixture of the columns of `rows`?
+
+    Appends the total-mass row (in the dtype of `rows`, so a boolean
+    event matrix stays boolean) and solves ``[rows; 1] x = [rhs; 1]``.
+    Returns the result with the support: column index to weight, for
+    every weight above SUPPORT_FLOOR, divided by the `math.fsum` of
+    those weights.  The support is empty when the system is infeasible.
+    """
+    a = np.vstack([rows, np.ones((1, rows.shape[1]), dtype=rows.dtype)])
+    b = np.append(rhs, 1.0)
+    result = solve_feasibility(a, b, tol)
+    if not result.feasible:
+        return result, {}
+    support = {
+        int(j): float(result.x[j]) for j in np.flatnonzero(result.x > SUPPORT_FLOOR)
+    }
+    total = math.fsum(support.values())
+    return result, {j: w / total for j, w in support.items()}
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:

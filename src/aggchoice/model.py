@@ -300,9 +300,6 @@ class LinearOrder:
         """Maximal element of a nonempty subset of the ground set."""
         return min(items, key=self._rank.__getitem__)
 
-    def prefers(self, a: str, b: str) -> bool:
-        return self._rank[a] < self._rank[b]
-
     def restrict(self, items: Iterable[str]) -> "LinearOrder":
         keep = set(items)
         return LinearOrder(tuple(x for x in self.ranking if x in keep))

@@ -28,7 +28,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .axioms import AxiomReport, check_limited_monotonicity, check_partial_ru
+from .axioms import (
+    AXIOM_TOL,
+    AxiomReport,
+    check_limited_monotonicity,
+    check_partial_ru,
+)
 from .errors import (
     AxiomViolated,
     EmptySupport,
@@ -48,9 +53,6 @@ from .model import (
     forward_evaluate,
     rum_prob,
 )
-
-#: Ratios above 1 + this signal a real monotonicity failure, not roundoff.
-RATIO_TOL = 1e-10
 
 #: Residual allowed when verifying a construction against the data.
 VERIFY_TOL = 1e-9
@@ -169,24 +171,16 @@ def _chain_for_aggregate(
 
     active: list[str] = []
     for y in space.sort(targets):
-        if anchors[y] <= 0.0:
-            if targets[y] > RATIO_TOL:
-                raise AxiomViolated(
-                    f"{y!r} gains probability it cannot have: base 0, "
-                    f"mixed {targets[y]!r}"
-                )
-            continue
-        active.append(y)
-
-    ratios = {y: targets[y] / anchors[y] for y in active}
-    for y in active:
-        if ratios[y] > 1.0 + RATIO_TOL:
+        # Limited monotonicity's test, with its absolute slack.
+        if anchors[y] < targets[y] - AXIOM_TOL:
             raise AxiomViolated(
-                f"mixed-menu probability of {y!r} exceeds its atomic-menu "
-                f"probability (ratio {ratios[y]!r})"
+                f"mixed-menu probability of {y!r} ({targets[y]!r}) exceeds "
+                f"its atomic-menu probability ({anchors[y]!r})"
             )
-        ratios[y] = min(ratios[y], 1.0)
+        if anchors[y] > 0.0:
+            active.append(y)
 
+    ratios = {y: min(targets[y] / anchors[y], 1.0) for y in active}
     out: dict[CompositionTuple, float] = {}
     if not active:
         r0 = 0.0
@@ -226,7 +220,6 @@ def build_lambda_for_menu(
     prefs: PreferenceDistribution,
     correspondence: AggregationCorrespondence,
     variant: str = "multi",
-    atomic_anchor: Mapping[str, float] | None = None,
 ) -> dict[CompositionTuple, float]:
     """Composition distribution for one mixed menu.
 
@@ -260,13 +253,11 @@ def build_lambda_for_menu(
                 out[t] = out.get(t, 0.0) + shares[a] * w
         return out
 
-    if atomic_anchor is None:
-        if atoms in set(rho.menus):
-            atomic_anchor = {y: rho.prob(atoms, y) for y in atoms}
-        else:
-            atomic_anchor = {y: rum_prob(prefs, atoms, y) for y in atoms}
+    if atoms in set(rho.menus):
+        anchors = {y: rho.prob(atoms, y) for y in atoms}
+    else:
+        anchors = {y: rum_prob(prefs, atoms, y) for y in atoms}
     targets = {y: rho.prob(menu, y) for y in atoms}
-    anchors = {y: atomic_anchor[y] for y in atoms}
 
     residual = math.fsum(rho.prob(menu, a) for a in extras)
     if residual <= 1e-12:
@@ -310,7 +301,11 @@ def rationalize(
 
     lm = check_limited_monotonicity(rho, space)
     if space.atomic:
-        partial = check_partial_ru(rho, space, method="lp")
+        partial = check_partial_ru(rho, space)
+        if lm.passed and partial.passed and partial.certificate is None:
+            # The Block-Marschak route decided; the LP supplies the
+            # distribution to extend.
+            partial = check_partial_ru(rho, space, method="lp")
         report = AxiomReport.merge(lm, partial)
         if not report.passed:
             raise AxiomViolated("data is not RU-rational", report=report)

@@ -336,6 +336,20 @@ class TestCertificateReplay:
         with pytest.raises(VerificationBug):
             check_partial_ru(self.uniform(three_space), three_space, method="lp")
 
+    def test_event_matrix_reaches_the_solver_as_bools(self, three_space, monkeypatch):
+        seen = []
+        solve = linprog.solve_feasibility
+
+        def spy(a, b, tol):
+            seen.append(a)
+            return solve(a, b, tol)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", spy)
+        assert check_aru_rational(self.uniform(three_space), three_space).passed
+        (a,) = seen
+        assert a.dtype == bool
+        assert a[-1].all()
+
     def test_renormalization_drift_is_allowed(self, three_space, monkeypatch):
         # Every LP row misses by just under LP_TOL: the mass row is high
         # while the point-mass cell on the full menu is low, so the

@@ -43,6 +43,38 @@ def constant_composition(domain, space, mapping):
     return CompositionDistribution(per_menu)
 
 
+def pairwise_menus():
+    """Three aggregates in three pairwise menus with consistent marginals."""
+    space = AggregateSpace((), ("a", "b", "c"))
+    corr = AggregationCorrespondence.identity_atomic(
+        space, {k: (f"{k}1", f"{k}2") for k in ("a", "b", "c")}
+    )
+    menus = [frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "c"})]
+    dom = ChoiceDomain(space, tuple(menus))
+    per_menu = {}
+    for menu in menus:
+        first, second = sorted(menu)
+        per_menu[menu] = {
+            CompositionTuple.of({first: {f"{first}{i}"}, second: {f"{second}{i}"}}): w
+            for i, w in ((1, 0.25), (2, 0.75))
+        }
+    return corr, dom, CompositionDistribution(per_menu)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the systems handed to `linprog.solve_feasibility`."""
+    calls = []
+    solve = linprog.solve_feasibility
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve_feasibility", spy)
+    return calls
+
+
 class TestNonOverlapping:
     def test_contiguous_block_holds(self, outside_corr):
         report = is_non_overlapping(delta("z", "w", "x"), outside_corr)
@@ -169,36 +201,24 @@ class TestMenuIndependence:
         report = is_menu_independent(lam, corr, dom)
         assert not report.holds
 
-    def test_joint_from_pairwise_menus_solves_the_lp(self, monkeypatch):
+    def test_unconditional_joint_rejects_menu_dependence(self, outside_corr):
+        dom = ChoiceDomain.full(outside_corr.space)
+        lam = CompositionDistribution(
+            {
+                frozenset({A0}): {CompositionTuple.of({A0: {"z"}}): 1.0},
+                frozenset({X, A0}): {CompositionTuple.of({A0: {"w"}}): 1.0},
+            }
+        )
+        with pytest.raises(NotMenuIndependent):
+            unconditional_joint(lam, outside_corr, dom)
+
+    def test_joint_from_pairwise_menus_solves_the_lp(self, solves):
         # No menu holds all three aggregates, so the joint comes from the
         # feasibility LP; every menu's marginal of it must match the data.
-        space = AggregateSpace((), ("a", "b", "c"))
-        corr = AggregationCorrespondence.identity_atomic(
-            space, {k: (f"{k}1", f"{k}2") for k in ("a", "b", "c")}
-        )
-        menus = [frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "c"})]
-        dom = ChoiceDomain(space, tuple(menus))
-        per_menu = {}
-        for menu in menus:
-            first, second = sorted(menu)
-            per_menu[menu] = {
-                CompositionTuple.of(
-                    {first: {f"{first}{i}"}, second: {f"{second}{i}"}}
-                ): w
-                for i, w in ((1, 0.25), (2, 0.75))
-            }
-        lam = CompositionDistribution(per_menu)
-
-        calls = []
-        solve = linprog.solve_feasibility
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(linprog, "solve_feasibility", spy)
+        corr, dom, lam = pairwise_menus()
+        menus = dom.menus
         joint = unconditional_joint(lam, corr, dom)
-        assert len(calls) == 1
+        assert len(solves) == 1
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
         for menu in menus:
             marginal = {}
@@ -307,6 +327,12 @@ class TestCollapse:
             replay = aru_evaluate(collapsed, dom)
             assert replay.max_cell_difference(forward) <= 1e-9
             assert check_aru_rational(forward, space).passed
+
+    def test_pairwise_menus_solve_one_lp(self, solves):
+        corr, dom, lam = pairwise_menus()
+        prefs = PreferenceDistribution.degenerate(LinearOrder(corr.ground))
+        collapse_to_aru(prefs, corr, lam, dom)
+        assert solves == [(28, 27)]
 
     def test_menu_dependent_rejected(self, outside_corr):
         dom = ChoiceDomain.full(outside_corr.space)

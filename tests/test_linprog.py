@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from aggchoice import NoConvergence, linprog
-from aggchoice.linprog import solve_feasibility
+from aggchoice.linprog import solve_feasibility, solve_mixture
 from aggchoice.model import order_events
 
 
@@ -124,6 +125,12 @@ def _aru_event_system():
     return a, a @ weights
 
 
+def _aru_bool_system():
+    """The aru-5 system with its 0/1 matrix as bools, as the ARU check builds it."""
+    a, b = _aru_event_system()
+    return a.astype(bool), b
+
+
 def _negative_rhs_system():
     i, j = np.indices((6, 14))
     a = ((3 * i + 5 * j + i * j) % 9 - 4) / 4.0
@@ -156,6 +163,11 @@ def _infeasible_system():
             "-0.0",
         ),
         (
+            _aru_bool_system,
+            "dc8452539308256872e4e128120a7b022c0fd321b7c892a9c5134c8d87e2e116",
+            "-0.0",
+        ),
+        (
             _negative_rhs_system,
             "a4a3fa7e7e6a9b2d9305d674ff073ab08ea5cc506303767b587aa33f6ff73a5d",
             "4.440892098500626e-16",
@@ -166,7 +178,7 @@ def _infeasible_system():
             "-0.0",
         ),
     ],
-    ids=["aru-5", "negative-rhs", "degenerate"],
+    ids=["aru-5", "aru-5-bool", "negative-rhs", "degenerate"],
 )
 def test_golden_feasible_points(system, digest, residual):
     a, b = system()
@@ -229,3 +241,19 @@ def test_result_reports_pivots_and_max_residual():
     assert not infeasible.feasible
     assert infeasible.pivots > 0
     assert infeasible.max_residual == 0.0
+
+
+def test_mixture_support_drops_tiny_weights_and_renormalizes():
+    rhs = np.array([0.75, 0.25 - 5e-15, 1e-15, 4e-15])
+    result, support = solve_mixture(np.eye(4), rhs, 1e-9)
+    assert result.feasible
+    assert result.x[2] == 1e-15
+    kept = result.x[[0, 1, 3]]
+    assert support == dict(zip([0, 1, 3], kept / math.fsum(kept)))
+    assert math.fsum(support.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_mixture_support_is_empty_when_infeasible():
+    result, support = solve_mixture(np.eye(2), np.array([0.7, 0.7]), 1e-9)
+    assert not result.feasible
+    assert support == {}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from aggchoice import (
     VariantUnavailable,
     aru_evaluate,
     build_lambda_for_menu,
+    check_ru_rational,
     extend_preferences,
     forward_evaluate,
     rationalize,
@@ -244,6 +246,41 @@ class TestRationalize:
             rationalize(rho, three_space)
         assert err.value.report is not None
         assert not err.value.report.passed
+
+    def test_succeeds_exactly_when_the_check_passes(self):
+        # Vertex mixtures lie on the boundary of the RU polytope (many
+        # cells are 0 or tie their atomic menu), so noise near the axioms'
+        # tolerance lands on both sides of it.
+        spaces = [
+            AggregateSpace((X, Y), (A0,)),
+            AggregateSpace((X, Y, "z"), (A0,)),
+            AggregateSpace((X, Y), (A0, A1)),
+        ]
+        verdicts = []
+        for noise, space, seed in itertools.product(
+            (1e-12, 1e-11, 1e-10), spaces, range(20)
+        ):
+            dom = ChoiceDomain.full(space)
+            rng = np.random.default_rng(seed)
+            rho = random_vertex_mixture(space, dom, rng)
+            table = {}
+            for menu in dom.menus:
+                row = {
+                    a: max(rho.prob(menu, a) + noise * rng.standard_normal(), 0.0)
+                    for a in space.sort(menu)
+                }
+                total = math.fsum(row.values())
+                table[menu] = {a: p / total for a, p in row.items()}
+            noisy = StochasticChoice(space, table)
+            passed = check_ru_rational(noisy, space).passed
+            try:
+                rationalize(noisy, space)
+            except AxiomViolated:
+                assert not passed, (noise, space, seed)
+            else:
+                assert passed, (noise, space, seed)
+            verdicts.append(passed)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_variant_unavailable(self):
         space = AggregateSpace((X,), (A0, A1))
