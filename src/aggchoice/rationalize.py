@@ -28,12 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .axioms import (
-    AXIOM_TOL,
-    AxiomReport,
-    check_limited_monotonicity,
-    check_partial_ru,
-)
+from .axioms import AXIOM_TOL, AxiomReport, check_limited_monotonicity, check_partial_ru
 from .errors import (
     AxiomViolated,
     EmptySupport,
