@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linprog
-from .errors import (
-    DomainClosureViolated,
-    DomainTooLarge,
-    IncompleteDomain,
-    VerificationBug,
-)
+from .errors import DomainClosureViolated, DomainTooLarge, IncompleteDomain
 from .model import (
     AggregateSpace,
     ChoiceDomain,
@@ -37,20 +32,9 @@ from .model import (
     all_orders,
     aru_evaluate,
     order_events,
+    verify_replay,
 )
-
-#: Slack allowed before a monotonicity or Block-Marschak cell is flagged.
-AXIOM_TOL = 1e-10
-
-#: Tolerance on LP equality constraints.
-LP_TOL = 1e-9
-
-#: Tolerance on replaying an LP certificate.  The LP holds every row, the
-#: total-mass row among them, to LP_TOL, so after dividing the point by
-#: its total a cell can miss by up to (LP_TOL + LP_TOL) / (1 - LP_TOL).
-#: The last term covers rounding and the weights below 1e-15 that the
-#: certificate drops.
-CERTIFICATE_TOL = 2 * LP_TOL / (1 - LP_TOL) + 1e-11
+from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, LP_TOL
 
 #: Order-enumeration cap for the partial (atomic-only) LP route.
 MAX_ATOMIC_LP = 7
@@ -179,12 +163,7 @@ def _lp_rationalize(
     replay = aru_evaluate(
         certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
     )
-    miss = max(abs(replay.prob(m, x) - rho.prob(m, x)) for m, x in cells)
-    if miss > CERTIFICATE_TOL:
-        raise VerificationBug(
-            f"LP certificate misses the data by {miss!r}"
-            f" (tolerance {CERTIFICATE_TOL!r})"
-        )
+    verify_replay(replay.table, rho.table, CERTIFICATE_TOL, "LP certificate")
     return AxiomReport(passed=True, certificate=certificate, method="lp")
 
 

@@ -47,6 +47,7 @@ from .simulation import (
     reduce_dataset,
     sweep,
 )
+from .tolerances import TYPED_PROB_TOL
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -274,7 +275,7 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise CliError("composition triples need three comma-separated numbers", USAGE)
-    if abs(sum(parts) - 1.0) > 1e-9 or min(parts) < 0:
+    if abs(sum(parts) - 1.0) > TYPED_PROB_TOL or min(parts) < 0:
         raise CliError("composition triple must be a probability vector", USAGE)
     return tuple(parts)  # type: ignore[return-value]
 

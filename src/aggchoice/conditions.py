@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linprog
-from .errors import GroundMismatch, NotMenuIndependent, TooLarge, VerificationBug
+from .errors import GroundMismatch, NotMenuIndependent, TooLarge
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -36,10 +36,9 @@ from .model import (
     PreferenceDistribution,
     aru_evaluate,
     forward_evaluate,
+    verify_replay,
 )
-
-#: Total-variation tolerance when comparing per-menu compositions.
-MARGINAL_TOL = 1e-10
+from .tolerances import CERTIFICATE_TOL, LP_TOL, MARGINAL_TOL, replay_tol
 
 #: Joint atom cap for the menu-independence feasibility LP.
 MAX_JOINT_ATOMS = 1_000_000
@@ -189,14 +188,19 @@ def _joint(
     full_menus = [m for m in menus if space.non_atomic_set <= m]
     if full_menus:
         return ConditionReport(holds=True), dict(composition.for_menu(full_menus[0]))
-    joint, result, support = _solve_joint(composition, correspondence, menus)
+    profiles, result, support = _solve_joint(composition, correspondence, menus)
     if not result.feasible:
         witness = ("no-joint-distribution", None, result.residual)
         return ConditionReport(holds=False, witnesses=(witness,)), None
-    return ConditionReport(holds=True), {
-        CompositionTuple.of(dict(zip(space.non_atomic, joint[j]))): w
+    joint = {
+        CompositionTuple.of(dict(zip(space.non_atomic, profiles[j]))): w
         for j, w in support.items()
     }
+    marginals = {
+        m: _marginal(joint, space.sort(m & space.non_atomic_set)) for m in menus
+    }
+    verify_replay(marginals, composition.per_menu, CERTIFICATE_TOL, "joint composition")
+    return ConditionReport(holds=True), joint
 
 
 def _solve_joint(
@@ -244,7 +248,7 @@ def _solve_joint(
     result, support = linprog.solve_mixture(
         np.array(rows).reshape(len(rows), len(joint)),
         np.array(rhs),
-        MARGINAL_TOL * 10,
+        LP_TOL,
     )
     return joint, result, support
 
@@ -320,9 +324,10 @@ def collapse_to_aru(
     collapsed = PreferenceDistribution(weights)
     produced = forward_evaluate(prefs, correspondence, composition, domain)
     replayed = aru_evaluate(collapsed, domain)
-    residual = replayed.max_cell_difference(produced)
-    if residual > 1e-9:
-        raise VerificationBug(
-            f"collapsed distribution misses the forward evaluation by {residual!r}"
-        )
+    # Each collapsed cell combines its menu's tuples: those of the
+    # joint's marginal and those of the menu's own distribution.
+    terms = len(joint) + max(map(len, composition.per_menu.values()), default=0)
+    verify_replay(
+        replayed.table, produced.table, replay_tol(terms), "collapsed distribution"
+    )
     return collapsed

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linprog
 from .axioms import check_ru_rational
-from .errors import NotRURational, TooLarge, VariantUnavailable, VerificationBug
+from .errors import NotRURational, TooLarge, VariantUnavailable
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -38,18 +38,22 @@ from .model import (
     nth_order,
     order_events,
     order_winners,
+    verify_replay,
     vertex_choice,
 )
 from .rationalize import Rationalization
-
-#: Frank-Wolfe stops when the duality gap falls below this.
-GAP_TOL = 1e-10
+from .tolerances import (
+    ACTIVE_SET_FLOOR,
+    ACTIVE_SET_TOL,
+    ANCHOR_TOL,
+    GAP_TOL,
+    GRID_REPLAY_TOL,
+    GRID_TOL,
+    PROB_TOL,
+    grid_steps,
+)
 
 MAX_FW_ITERATIONS = 10_000
-
-#: Feasibility tolerance of the grid oracle (looser than the exact LPs
-#: because grid quantization introduces model error).
-GRID_TOL = 1e-7
 
 #: Upper bound on the number of composition candidates the grid oracle
 #: will enumerate before refusing.
@@ -106,7 +110,7 @@ def _simplex_least_squares(
         rhs = np.concatenate([2.0 * (sub @ target), [1.0]])
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         u = sol[: len(support)]
-        if (u >= -1e-12).all():
+        if (u >= -ACTIVE_SET_TOL).all():
             w = np.zeros(k)
             w[support] = np.clip(u, 0.0, None)
             total = w.sum()
@@ -118,7 +122,7 @@ def _simplex_least_squares(
         steps[u >= 0] = np.inf
         alpha = float(steps.min())
         w_s = w_s + alpha * (u - w_s)
-        w_s[w_s < 1e-14] = 0.0
+        w_s[w_s < ACTIVE_SET_FLOOR] = 0.0
         w = np.zeros(k)
         w[support] = w_s
         support = [i for i in range(k) if w[i] > 0.0]
@@ -127,19 +131,14 @@ def _simplex_least_squares(
     return w
 
 
-def aru_distance(
-    rho: StochasticChoice,
-    space: AggregateSpace,
-    gap_tol: float = GAP_TOL,
-    max_iterations: int = MAX_FW_ITERATIONS,
-) -> DistanceResult:
+def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult:
     """Squared Euclidean distance from the data to the ARU polytope.
 
     Fully corrective Frank-Wolfe over the enumerated vertices: each step
     adds the vertex minimizing the linearized objective, then re-solves
     the least-squares problem exactly over the active vertex set.  Stops
-    at duality gap `gap_tol`; hitting the iteration cap is reported in
-    the result, never silent.
+    at duality gap GAP_TOL; hitting the iteration cap (MAX_FW_ITERATIONS)
+    is reported in the result, never silent.
     """
     domain = rho.domain()
     cells = domain.cells()
@@ -149,20 +148,29 @@ def aru_distance(
     )
     target = _cell_vector(rho, cells)
 
-    start = int(np.argmin(((vertices - target) ** 2).sum(axis=1)))
+    # The nearest vertex starts; its distances are taken over blocks of
+    # rows, so no second vertex-sized array is built.
+    step = max(1, linprog.BLOCK_BYTES // vertices[0].nbytes)
+    nearest = np.concatenate(
+        [
+            ((vertices[lo : lo + step] - target) ** 2).sum(axis=1)
+            for lo in range(0, len(vertices), step)
+        ]
+    )
+    start = int(np.argmin(nearest))
     active = [start]
     weights = np.array([1.0])
     gap = math.inf
     iterations = 0
     trace: list[float] = []
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_FW_ITERATIONS + 1):
         x = weights @ vertices[active]
         trace.append(float(((x - target) ** 2).sum()))
         grad = 2.0 * (x - target)
         scores = vertices @ grad
         best = int(np.argmin(scores))
         gap = float(grad @ x - scores[best])
-        if gap <= gap_tol:
+        if gap <= GAP_TOL:
             break
         if best not in active:
             active.append(best)
@@ -193,7 +201,7 @@ def aru_distance(
         projection=projection,
         duality_gap=gap,
         iterations=iterations,
-        hit_iteration_cap=gap > gap_tol,
+        hit_iteration_cap=gap > GAP_TOL,
         objective_trace=tuple(trace),
     )
 
@@ -421,7 +429,6 @@ def grid_oracle_ru_n(
     rho: StochasticChoice,
     n: int,
     resolution: float = 0.02,
-    budget: int = GRID_BUDGET,
 ) -> GridOracleResult:
     """Search for a rationalization with |X(outside)| = n exactly.
 
@@ -444,9 +451,7 @@ def grid_oracle_ru_n(
     if not 2 <= n <= 3:
         raise TooLarge("oracle supports composition sizes 2 and 3 only")
     (outside,) = space.non_atomic
-    steps = round(1.0 / resolution)
-    if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
-        raise ValueError("resolution must divide 1")
+    steps = grid_steps(resolution, "resolution")
 
     synthetic = tuple(f"{outside}#{i}" for i in range(n))
     ground = space.atomic + synthetic
@@ -486,11 +491,11 @@ def grid_oracle_ru_n(
 
         def classify(y: str) -> str:
             p = targets[y]
-            if p <= 1e-12:
+            if p <= PROB_TOL:
                 return "zero"
-            if p >= 1.0 - 1e-12:
+            if p >= 1.0 - PROB_TOL:
                 return "one"
-            if anchored and abs(p - rho.prob(atoms, y)) <= 1e-9:
+            if anchored and abs(p - rho.prob(atoms, y)) <= ANCHOR_TOL:
                 return "anchor"
             return "value"
 
@@ -542,9 +547,9 @@ def grid_oracle_ru_n(
     total = 1
     for plan in plans:
         total *= max(len(plan.candidates), 1)
-        if total > budget:
+        if total > GRID_BUDGET:
             raise TooLarge(
-                f"candidate space exceeds the oracle budget ({budget})"
+                f"candidate space exceeds the oracle budget ({GRID_BUDGET})"
             )
 
     # Depth-first search, cheapest plans first, with zero-propagation
@@ -612,12 +617,9 @@ def grid_oracle_ru_n(
     }
     composition = CompositionDistribution(per_menu)
     produced = forward_evaluate(prefs, correspondence, composition, rho.domain())
-    residual = produced.max_cell_difference(rho)
-    if residual > 10 * GRID_TOL:
-        raise VerificationBug(
-            f"oracle witness misses the data by {residual!r} despite a "
-            "feasible program"
-        )
+    residual = verify_replay(
+        produced.table, rho.table, GRID_REPLAY_TOL, "oracle witness"
+    )
     witness = Rationalization(
         prefs,
         correspondence,

@@ -16,22 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-
-#: Pivot elements smaller than this are treated as zero.
-PIVOT_TOL = 1e-10
-
-#: Default acceptance tolerance on the phase-1 objective (sum of residuals).
-FEAS_TOL = 1e-9
+from .tolerances import LP_TOL, PIVOT_TOL, SUPPORT_FLOOR
 
 _MAX_PIVOTS = 200_000
-
-#: Mixture weights at or below this are dropped from the support.
-SUPPORT_FLOOR = 1e-15
 
 #: A pivot updates the tableau in blocks of rows of about this many bytes,
 #: so the outer-product temporary stays small and in cache however wide
 #: the tableau is.
-_BLOCK_BYTES = 1 << 18
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,7 +43,7 @@ class FeasibilityResult:
 
 
 def solve_feasibility(
-    a: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL
+    a: np.ndarray, b: np.ndarray, tol: float = LP_TOL
 ) -> FeasibilityResult:
     """Find x >= 0 with ``a @ x = b``, or report infeasibility.
 
@@ -71,7 +63,10 @@ def solve_feasibility(
         return FeasibilityResult(False, None, residual, pivots)
     if not (x >= 0.0).all():
         raise NoConvergence("simplex point has a negative or undefined entry")
-    miss = float(np.abs(a @ x - b).max(initial=0.0))
+    # A basic point has at most one nonzero per row.  Multiplying only
+    # those columns never casts the whole of a boolean `a` to float64.
+    used = np.flatnonzero(x)
+    miss = float(np.abs(a[:, used] @ x[used] - b).max(initial=0.0))
     if not miss <= tol:
         raise NoConvergence(
             f"simplex point misses a @ x = b by {miss!r} (tolerance {tol!r})"
@@ -125,7 +120,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     tab[m, :n] = -tab[:m, :n].sum(axis=0)
     tab[m, -1] = -b.sum()
 
-    step = max(1, _BLOCK_BYTES // tab[0].nbytes)
+    step = max(1, BLOCK_BYTES // tab[0].nbytes)
     basis = list(range(n, n + m))
     pivots = 0
     while True:

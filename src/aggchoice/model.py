@@ -31,13 +31,11 @@ from .errors import (
     InvalidTuple,
     ItemNotInMenu,
     MissingLambdaForMenu,
+    VerificationBug,
 )
+from .tolerances import PROB_TOL
 
 Menu = frozenset[str]
-
-#: Input probability tables must sum to one within this tolerance; they are
-#: renormalized when inside it and rejected otherwise.
-PROB_TOL = 1e-12
 
 #: Hard cap on any operation that enumerates all linear orders (8! = 40320).
 MAX_ENUMERATION_GROUND = 8
@@ -269,11 +267,36 @@ class StochasticChoice:
         """Largest per-cell gap against another table on the shared menus."""
         if set(self.table) != set(other.table):
             raise ValueError("tables are defined on different menus")
-        worst = 0.0
-        for menu, row in self.table.items():
-            for a, p in row.items():
-                worst = max(worst, abs(p - other.table[menu][a]))
-        return worst
+        return _largest_gap(self.table, other.table)
+
+
+Rows = Mapping[Menu, Mapping]
+
+
+def _largest_gap(replayed: Rows, data: Rows) -> float:
+    """Largest cell gap over the menus of `replayed`; a missing cell is 0."""
+    worst = 0.0
+    for menu, row in replayed.items():
+        expected = data[menu]
+        for key in row.keys() | expected.keys():
+            worst = max(worst, abs(row.get(key, 0.0) - expected.get(key, 0.0)))
+    return worst
+
+
+def verify_replay(replayed: Rows, data: Rows, bound: float, what: str) -> float:
+    """Check a result replayed against the data it must reproduce.
+
+    Both arguments map menus to rows: a `StochasticChoice.table`, or
+    per-menu composition distributions.  Returns the largest cell gap
+    over the menus of `replayed`, and raises `VerificationBug` when it
+    exceeds `bound`.
+    """
+    gap = _largest_gap(replayed, data)
+    if not gap <= bound:
+        raise VerificationBug(
+            f"{what} misses the data by {gap!r} (tolerance {bound!r})"
+        )
+    return gap
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .axioms import AXIOM_TOL, AxiomReport, check_limited_monotonicity, check_partial_ru
-from .errors import (
-    AxiomViolated,
-    EmptySupport,
-    GroundMismatch,
-    VariantUnavailable,
-    VerificationBug,
-)
+from .axioms import AxiomReport, check_limited_monotonicity, check_partial_ru
+from .errors import AxiomViolated, EmptySupport, GroundMismatch, VariantUnavailable
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -47,10 +41,10 @@ from .model import (
     StochasticChoice,
     forward_evaluate,
     rum_prob,
+    verify_replay,
 )
-
-#: Residual allowed when verifying a construction against the data.
-VERIFY_TOL = 1e-9
+from .tolerances import AXIOM_TOL, PROB_TOL, replay_tol
+from .tolerances import VERIFY_TOL  # noqa: F401  (importable from here)
 
 VARIANTS = ("multi", "outside_option")
 
@@ -255,7 +249,7 @@ def build_lambda_for_menu(
     targets = {y: rho.prob(menu, y) for y in atoms}
 
     residual = math.fsum(rho.prob(menu, a) for a in extras)
-    if residual <= 1e-12:
+    if residual <= PROB_TOL:
         # Aggregates absorb nothing: every atomic equation holds with
         # equality, so the all-bottom tuple reproduces the menu exactly.
         parts = {a: {bottom_id(a)} for a in extras}
@@ -281,8 +275,10 @@ def rationalize(
     """Construct and verify a witness for an RU-rational dataset.
 
     Raises `AxiomViolated` with the failing report when the data does
-    not pass the characterization.  A verification failure after a
-    passing check is a library bug and raises `VerificationBug`.
+    not pass the characterization.  The witness is replayed against the
+    data within ``replay_tol(len(space.atomic))``, the bound its LP
+    certificate implies; a failed replay after a passing check is a
+    library bug and raises `VerificationBug`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -329,11 +325,13 @@ def rationalize(
     composition = CompositionDistribution(per_menu)
 
     produced = forward_evaluate(prefs, correspondence, composition, rho.domain())
-    residual = produced.max_cell_difference(rho)
-    if residual > VERIFY_TOL:
-        raise VerificationBug(
-            f"constructed witness misses the data by {residual!r}"
-        )
+    # Each witness cell combines the certificate's atomic cells.
+    residual = verify_replay(
+        produced.table,
+        rho.table,
+        replay_tol(len(space.atomic)),
+        "constructed witness",
+    )
 
     metadata = {
         "variant": variant,

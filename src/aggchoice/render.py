@@ -17,7 +17,8 @@ MARGIN = 56
 
 def _color(value: float, lo: float, hi: float, signed: bool) -> str:
     if signed:
-        scale = max(abs(lo), abs(hi), 1e-300)
+        # An all-zero table maps every value to white (t = 0).
+        scale = max(abs(lo), abs(hi)) or 1.0
         t = max(-1.0, min(1.0, value / scale))
         if t >= 0:
             other = round(255 * (1 - t))

@@ -30,11 +30,9 @@ from .model import (
     Menu,
     StochasticChoice,
 )
+from .tolerances import ASCENT_SLACK, GRADIENT_TOL, grid_steps
 
 UtilityMap = Mapping[str, float]
-
-#: Newton stops when the gradient's max norm falls below this.
-GRADIENT_TOL = 1e-10
 
 MAX_NEWTON_ITERATIONS = 200
 MAX_STEP_HALVINGS = 40
@@ -146,7 +144,8 @@ def fit_aggregated_logit(
     (concave objective; step halving up to 40 times per iteration).
     Returns the utility map including the pinned aggregate at exactly 0.
     Raises `NotIdentified` for a disconnected menu graph and
-    `NoConvergence` if 200 iterations do not reach gradient norm 1e-10.
+    `NoConvergence` if 200 iterations do not reach gradient norm
+    GRADIENT_TOL.
     """
     free = _check_identified(rho, normalize)
     values = {a: 0.0 for a in free}
@@ -181,7 +180,7 @@ def fit_aggregated_logit(
         for _ in range(MAX_STEP_HALVINGS):
             trial = {a: values[a] + scale * s for a, s in zip(params, step)}
             improved = objective(trial)
-            if improved >= current - 1e-15:
+            if improved >= current - ASCENT_SLACK:
                 values, current = trial, improved
                 break
             scale *= 0.5
@@ -274,9 +273,7 @@ def composition_from_triples(
 
 def simplex_grid(step: float) -> list[tuple[float, float, float]]:
     """(z, w, zw) triples with z and w on a step grid, zw the residual."""
-    steps = round(1.0 / step)
-    if abs(steps * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1")
+    steps = grid_steps(step, "step")
     out = []
     for i in range(steps + 1):
         for j in range(steps + 1 - i):

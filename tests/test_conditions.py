@@ -11,6 +11,7 @@ from aggchoice import (
     LinearOrder,
     NotMenuIndependent,
     PreferenceDistribution,
+    VerificationBug,
     aru_evaluate,
     check_aru_rational,
     collapse_to_aru,
@@ -229,6 +230,21 @@ class TestMenuIndependence:
             for t in set(marginal) | set(expected):
                 gap = abs(marginal.get(t, 0.0) - expected.get(t, 0.0))
                 assert gap <= MARGINAL_TOL
+
+    def test_joint_lp_point_is_replayed(self, monkeypatch):
+        # A solver that claims feasibility with all mass on the first
+        # profile: that joint's marginals miss every menu's distribution.
+        def solve(a, b, tol):
+            x = np.zeros(a.shape[1])
+            x[0] = 1.0
+            return linprog.FeasibilityResult(True, x, 0.0)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", solve)
+        corr, dom, lam = pairwise_menus()
+        with pytest.raises(VerificationBug):
+            is_menu_independent(lam, corr, dom)
+        with pytest.raises(VerificationBug):
+            unconditional_joint(lam, corr, dom)
 
     def test_aggregate_in_no_menu_defaults_to_full_set_on_the_lp_path(self):
         # Two of the three aggregates share a menu with x, none shares one

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_point_check_uses_callers_tolerance(monkeypatch):
     )
     result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
     assert result.feasible
+
+
+def test_point_check_does_not_cast_a_boolean_matrix(monkeypatch):
+    # A basic point has few nonzeros; checking it must not build a
+    # float64 copy of the whole event matrix.
+    i, j = np.indices((400, 3000))
+    a = (i * 7 + j * 3) % 5 == 0
+    x = np.zeros(a.shape[1])
+    x[[3, 1000, 2999]] = (0.5, 0.25, 0.25)
+    b = a.astype(float) @ x
+    monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (x.copy(), 0.0, 1))
+    tracemalloc.start()
+    try:
+        result = solve_feasibility(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.feasible
+    assert peak < a.size * np.dtype(float).itemsize
 
 
 # Golden outputs of the phase-1 simplex.  The pivot sequence is fixed by
@@ -225,7 +245,7 @@ def test_verdicts_agree_with_highs():
         assert ours.feasible == (highs.status == 0), seed
         if ours.feasible:
             assert (ours.x >= 0).all()
-            assert np.abs(a @ ours.x - b).max() <= linprog.FEAS_TOL
+            assert np.abs(a @ ours.x - b).max() <= linprog.LP_TOL
         verdicts.append(ours.feasible)
     assert 10 <= sum(verdicts) <= 40  # both verdicts are exercised
 
@@ -236,7 +256,7 @@ def test_result_reports_pivots_and_max_residual():
     assert result.feasible
     assert result.pivots > 0
     assert result.max_residual == float(np.abs(a @ result.x - b).max())
-    assert result.max_residual <= linprog.FEAS_TOL
+    assert result.max_residual <= linprog.LP_TOL
     infeasible = solve_feasibility(*_infeasible_system())
     assert not infeasible.feasible
     assert infeasible.pivots > 0

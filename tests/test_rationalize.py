@@ -13,6 +13,7 @@ from aggchoice import (
     PreferenceDistribution,
     StochasticChoice,
     VariantUnavailable,
+    all_orders,
     aru_evaluate,
     build_lambda_for_menu,
     check_ru_rational,
@@ -20,7 +21,9 @@ from aggchoice import (
     forward_evaluate,
     rationalize,
 )
+from aggchoice import linprog
 from aggchoice.rationalize import blocker_id, bottom_id, top_id
+from aggchoice.tolerances import LP_TOL, VERIFY_TOL, replay_tol
 from conftest import random_preferences, random_vertex_mixture
 
 X, Y, A0, A1 = "x", "y", "a0", "a1"
@@ -250,18 +253,33 @@ class TestRationalize:
     def test_succeeds_exactly_when_the_check_passes(self):
         # Vertex mixtures lie on the boundary of the RU polytope (many
         # cells are 0 or tie their atomic menu), so noise near the axioms'
-        # tolerance lands on both sides of it.
-        spaces = [
+        # tolerance lands on both sides of it.  Full domains take the
+        # Block-Marschak route.  Domain-closed partial domains drop some
+        # atomic menus with every mixed menu over them, so the check and
+        # the construction both take the LP route.
+        full_spaces = [
             AggregateSpace((X, Y), (A0,)),
             AggregateSpace((X, Y, "z"), (A0,)),
             AggregateSpace((X, Y), (A0, A1)),
         ]
+        partial_spaces = [
+            AggregateSpace((X, Y, "z"), (A0,)),
+            AggregateSpace((X, Y, "z"), (A0, A1)),
+            AggregateSpace((X, Y, "z", "w"), (A0,)),
+        ]
+        cases = [
+            *itertools.product((1e-12, 1e-11, 1e-10), full_spaces, range(20), [0]),
+            *itertools.product((1e-11, 3e-10, 3e-9), partial_spaces, range(6), [2]),
+        ]
         verdicts = []
-        for noise, space, seed in itertools.product(
-            (1e-12, 1e-11, 1e-10), spaces, range(20)
-        ):
+        for noise, space, seed, drop in cases:
             dom = ChoiceDomain.full(space)
             rng = np.random.default_rng(seed)
+            if drop:
+                atomic = [m for m in dom.menus if m <= space.atomic_set]
+                dropped = {atomic[i] for i in rng.choice(len(atomic), drop, False)}
+                kept = [m for m in dom.menus if m & space.atomic_set not in dropped]
+                dom = ChoiceDomain(space, tuple(kept))
             rho = random_vertex_mixture(space, dom, rng)
             table = {}
             for menu in dom.menus:
@@ -272,15 +290,41 @@ class TestRationalize:
                 total = math.fsum(row.values())
                 table[menu] = {a: p / total for a, p in row.items()}
             noisy = StochasticChoice(space, table)
-            passed = check_ru_rational(noisy, space).passed
+            report = check_ru_rational(noisy, space)
+            assert report.method == ("lp" if drop else "bm")
             try:
                 rationalize(noisy, space)
             except AxiomViolated:
-                assert not passed, (noise, space, seed)
+                assert not report.passed, (noise, space, seed)
             else:
-                assert passed, (noise, space, seed)
-            verdicts.append(passed)
+                assert report.passed, (noise, space, seed)
+            verdicts.append(report.passed)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_certificate_drift_stays_within_the_witness_bound(self, monkeypatch):
+        # The atomic LP returns a point whose rows each miss by 0.9 * LP_TOL,
+        # as its contract allows.  The renormalized certificate misses the
+        # full atomic menu by nearly 2 * LP_TOL, more than VERIFY_TOL; the
+        # witness built on it must still replay.
+        eps = 0.9 * LP_TOL
+        space = AggregateSpace((X, Y, "z"), (A0,))
+        first = LinearOrder((X, Y, "z"))
+        others = [LinearOrder((Y, X, "z")), LinearOrder(("z", X, Y))]
+        orders = all_orders(space.atomic)
+
+        def solve(a, b, tol):
+            x = np.zeros(a.shape[1])
+            x[orders.index(first)] = 1.0 - eps
+            for order in others:
+                x[orders.index(order)] = eps
+            assert np.abs(a @ x - b).max() <= tol
+            return linprog.FeasibilityResult(True, x, 0.0)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", solve)
+        rho = aru_evaluate(delta(X, Y, "z", A0), ChoiceDomain.full(space))
+        assert check_ru_rational(rho, space).passed
+        result = rationalize(rho, space)
+        assert VERIFY_TOL < result.residual <= replay_tol(len(space.atomic))
 
     def test_variant_unavailable(self):
         space = AggregateSpace((X,), (A0, A1))
