@@ -102,10 +102,10 @@ def replay_tol(terms: int) -> float:
     A collapsed ARU distribution reproduces each cell as such a
     combination of a menu's composition tuples, whose joint marginals
     match the menu's distribution within CERTIFICATE_TOL: `terms`
-    bounds the number of tuples in one menu.  Each term misses by at most CERTIFICATE_TOL,
-    so the table misses by at most that many of them on top of
-    VERIFY_TOL.  A replay after an LP therefore never rejects what the
-    LP accepted.
+    bounds the number of tuples in one menu.  Each term misses by at
+    most CERTIFICATE_TOL, so the table misses by at most that many of
+    them on top of VERIFY_TOL.  A replay after an LP therefore never
+    rejects what the LP accepted.
     """
     return VERIFY_TOL + terms * CERTIFICATE_TOL
 
