@@ -6,8 +6,9 @@ Four checks, in increasing strength of what they certify:
   menu never raises an atomic alternative's choice probability (menus
   that already contain non-atomic aggregates are unconstrained);
 * partial RU-rationality: random-utility consistency restricted to the
-  all-atomic menus, via Block-Marschak nonnegativity on full domains or
-  an exact order-enumeration LP otherwise;
+  all-atomic menus, via Block-Marschak nonnegativity on full domains
+  (whose flow on the subset lattice splits into a rationalizing
+  distribution) or an exact order-enumeration LP otherwise;
 * RU-rationality: the conjunction of the two (the full characterization);
 * ARU-rationality: random-utility consistency of the whole table over
   aggregates, by LP feasibility over all orders.
@@ -26,6 +27,7 @@ from .errors import DomainClosureViolated, DomainTooLarge, IncompleteDomain
 from .model import (
     AggregateSpace,
     ChoiceDomain,
+    LinearOrder,
     Menu,
     PreferenceDistribution,
     StochasticChoice,
@@ -34,7 +36,7 @@ from .model import (
     order_events,
     verify_replay,
 )
-from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, LP_TOL
+from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, LP_TOL, SUPPORT_FLOOR, flow_tol
 
 #: Order-enumeration cap for the partial (atomic-only) LP route.
 MAX_ATOMIC_LP = 7
@@ -137,6 +139,92 @@ def bm_polynomial(
     return math.fsum(terms)
 
 
+def bm_values(rho: StochasticChoice, space: AggregateSpace) -> np.ndarray:
+    """Every Block-Marschak sum of a full atomic domain, in one Möbius pass.
+
+    Entry (k, s) is ``bm_polynomial(rho, space, menu, space.atomic[k])``
+    for the atomic menu that holds ``space.atomic[j]`` exactly when bit j
+    of s is set, if it holds that id; the other entries mean nothing.
+    The pass over bit b takes each set's values minus those of the set
+    with b added, so after all n passes each entry is the alternating
+    sum over its supersets.
+    """
+    atoms = space.atomic
+    n = len(atoms)
+    values = np.zeros((n, 2**n))
+    for s in range(1, 2**n):
+        menu = frozenset(a for k, a in enumerate(atoms) if s >> k & 1)
+        if menu not in rho.table:
+            raise IncompleteDomain(
+                f"missing atomic menu {sorted(menu)} for the alternating sum"
+            )
+        for k, a in enumerate(atoms):
+            if s >> k & 1:
+                values[k, s] = rho.table[menu][a]
+    for b in range(n):
+        view = values.reshape(n, -1, 2, 2**b)
+        view[:, :, 0] -= view[:, :, 1]
+    return values
+
+
+def _bm_flow_chains(values: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
+    """Split the Block-Marschak flow into chains from the empty set up.
+
+    The flow runs on the subset lattice of the n atomic ids: the edge
+    from U to U + {k} carries the sum q(k, D) of the menu D = complement
+    of U, the mass of orders that rank exactly U above k.  Sums below 0
+    (within the axiom's slack) carry 0.  Each chain runs from the empty
+    set to the full one along the edge with the largest remaining flow,
+    ties to the lowest position; it takes the smallest flow on its way,
+    which zeroes at least one edge, so there are at most n * 2^(n-1)
+    chains.  A chain that reaches a node with no flow left (a node the
+    clipping or rounding left short) is dropped.  Returns (positions,
+    weight) pairs, best id first, without the chains at or below
+    SUPPORT_FLOOR.
+    """
+    n = len(values)
+    full = 2**n - 1
+    flow = np.maximum(values, 0.0).tolist()
+    chains = []
+    while True:
+        node, path = 0, []
+        for _ in range(n):
+            rest = full ^ node
+            best = max(
+                (k for k in range(n) if rest >> k & 1),
+                key=lambda k: flow[k][rest],
+            )
+            path.append((best, rest))
+            node |= 1 << best
+        carried = [flow[k][s] for k, s in path]
+        if carried[0] <= 0.0:
+            return chains
+        short = next((j for j, f in enumerate(carried) if f <= 0.0), n)
+        weight = min(carried[:short])
+        for k, s in path[:short]:
+            flow[k][s] -= weight
+        if short == n and weight > SUPPORT_FLOOR:
+            chains.append((tuple(k for k, _ in path), weight))
+
+
+def _bm_certificate(
+    values: np.ndarray, rho: StochasticChoice, menus: list[Menu], ground: tuple
+) -> PreferenceDistribution:
+    """The flow's chains as a distribution, replayed against the data."""
+    chains = _bm_flow_chains(values)
+    total = math.fsum(w for _, w in chains)
+    certificate = PreferenceDistribution(
+        {LinearOrder(tuple(ground[k] for k in c)): w / total for c, w in chains}
+    )
+    replay = aru_evaluate(
+        certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
+    )
+    verify_replay(
+        replay.table, rho.table, flow_tol(len(ground)), "Block-Marschak certificate"
+    )
+    return certificate
+
+
 def _lp_rationalize(
     rho: StochasticChoice,
     menus: list[Menu],
@@ -173,10 +261,11 @@ def check_partial_ru(
     """Random-utility consistency on the all-atomic menus.
 
     The Block-Marschak route needs the full atomic domain and checks all
-    alternating sums for nonnegativity; the LP route solves the exact
-    feasibility problem over enumerated atomic orders and returns a
-    rationalizing distribution as certificate.  `auto` picks the BM route
-    exactly when the atomic domain is full.
+    alternating sums for nonnegativity; on a pass, the chains of their
+    flow are the certificate.  The LP route solves the exact feasibility
+    problem over enumerated atomic orders, and its support is the
+    certificate.  Either certificate is replayed against the data.
+    `auto` picks the BM route exactly when the atomic domain is full.
     """
     atoms = space.atomic
     menus = _atomic_menus(rho, space)
@@ -189,18 +278,27 @@ def check_partial_ru(
             raise IncompleteDomain(
                 "Block-Marschak route requires every nonempty atomic menu"
             )
+        values = bm_values(rho, space)
+        position = {a: k for k, a in enumerate(atoms)}
         violations = []
         for menu in menus:
+            s = sum(1 << position[a] for a in menu)
             for item in space.sort(menu):
-                value = bm_polynomial(rho, space, menu, item)
+                value = float(values[position[item], s])
                 if value < -AXIOM_TOL:
                     violations.append(
                         Violation("block-marschak", (menu, item), value, 0.0)
                     )
-        violations.sort(key=lambda v: (space.menu_key(v.subject[0]), v.subject[1]))
-        return AxiomReport(
-            passed=not violations, violations=tuple(violations), method="bm"
-        )
+        if violations:
+            violations.sort(
+                key=lambda v: (space.menu_key(v.subject[0]), v.subject[1])
+            )
+            return AxiomReport(
+                passed=False, violations=tuple(violations), method="bm"
+            )
+        # Without atomic ids there is no order to certify.
+        certificate = _bm_certificate(values, rho, menus, atoms) if atoms else None
+        return AxiomReport(passed=True, certificate=certificate, method="bm")
     if method != "lp":
         raise ValueError(f"unknown method {method!r}")
     if len(atoms) > MAX_ATOMIC_LP:

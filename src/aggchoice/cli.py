@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import astuple, fields
 from typing import Sequence
@@ -47,7 +48,7 @@ from .simulation import (
     reduce_dataset,
     sweep,
 )
-from .tolerances import TYPED_PROB_TOL
+from .tolerances import PROB_TOL
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -275,7 +276,12 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise CliError("composition triples need three comma-separated numbers", USAGE)
-    if abs(sum(parts) - 1.0) > TYPED_PROB_TOL or min(parts) < 0:
+    # The rule a composition distribution applies to its total.
+    if (
+        not all(map(math.isfinite, parts))
+        or min(parts) < 0
+        or abs(math.fsum(parts) - 1.0) > PROB_TOL
+    ):
         raise CliError("composition triple must be a probability vector", USAGE)
     return tuple(parts)  # type: ignore[return-value]
 

@@ -42,9 +42,11 @@ MAX_ENUMERATION_GROUND = 8
 
 
 def _validate_simplex(weights: Mapping, what: str) -> dict:
-    """Check nonnegativity and total mass, renormalizing tiny drift."""
+    """Check finiteness, nonnegativity and total mass, renormalizing tiny drift."""
     cleaned = {}
     for key, w in weights.items():
+        if not math.isfinite(w):
+            raise InvalidProbability(f"{what}: non-finite weight {w!r} for {key!r}")
         if w < -PROB_TOL:
             raise InvalidProbability(f"{what}: negative weight {w!r} for {key!r}")
         cleaned[key] = max(w, 0.0)

@@ -43,7 +43,7 @@ from .model import (
     rum_prob,
     verify_replay,
 )
-from .tolerances import AXIOM_TOL, PROB_TOL, replay_tol
+from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, PROB_TOL, flow_tol, replay_tol
 from .tolerances import VERIFY_TOL  # noqa: F401  (importable from here)
 
 VARIANTS = ("multi", "outside_option")
@@ -242,7 +242,7 @@ def build_lambda_for_menu(
                 out[t] = out.get(t, 0.0) + shares[a] * w
         return out
 
-    if atoms in set(rho.menus):
+    if atoms in rho.table:
         anchors = {y: rho.prob(atoms, y) for y in atoms}
     else:
         anchors = {y: rum_prob(prefs, atoms, y) for y in atoms}
@@ -275,10 +275,12 @@ def rationalize(
     """Construct and verify a witness for an RU-rational dataset.
 
     Raises `AxiomViolated` with the failing report when the data does
-    not pass the characterization.  The witness is replayed against the
-    data within ``replay_tol(len(space.atomic))``, the bound its LP
-    certificate implies; a failed replay after a passing check is a
-    library bug and raises `VerificationBug`.
+    not pass the characterization.  The witness extends the partial
+    check's certificate: the Block-Marschak flow on a full atomic
+    domain, the atomic LP's support otherwise.  It is replayed against
+    the data within the bound that certificate implies,
+    ``replay_tol(len(space.atomic), cell_tol)``; a failed replay after a
+    passing check is a library bug and raises `VerificationBug`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -291,12 +293,11 @@ def rationalize(
         )
 
     lm = check_limited_monotonicity(rho, space)
+    cell_tol = CERTIFICATE_TOL
     if space.atomic:
         partial = check_partial_ru(rho, space)
-        if lm.passed and partial.passed and partial.certificate is None:
-            # The Block-Marschak route decided; the LP supplies the
-            # distribution to extend.
-            partial = check_partial_ru(rho, space, method="lp")
+        if partial.method == "bm":
+            cell_tol = flow_tol(len(space.atomic))
         report = AxiomReport.merge(lm, partial)
         if not report.passed:
             raise AxiomViolated("data is not RU-rational", report=report)
@@ -329,7 +330,7 @@ def rationalize(
     residual = verify_replay(
         produced.table,
         rho.table,
-        replay_tol(len(space.atomic)),
+        replay_tol(len(space.atomic), cell_tol),
         "constructed witness",
     )
 

@@ -19,17 +19,12 @@ from __future__ import annotations
 # -- Is an input a probability table? ---------------------------------------
 
 #: A probability table (a menu's row, a preference or a composition
-#: distribution) may hold weights down to -PROB_TOL and total within
+#: distribution, a composition triple typed on the command line) may
+#: hold weights down to -PROB_TOL and total, by `math.fsum`, within
 #: PROB_TOL of 1.  Inside that it is clipped and renormalized, outside
 #: it is rejected.  The bound is a few thousand ulps of 1: room for the
 #: rounding of a sum of floats, not for modelling error.
 PROB_TOL = 1e-12
-
-#: A composition triple typed on the command line sums to 1 within
-#: this.  Decimal text such as "0.1,0.2,0.7" rarely sums to exactly 1.0
-#: in binary; the triple then meets PROB_TOL when it becomes a
-#: composition distribution.
-TYPED_PROB_TOL = 1e-9
 
 # -- Is a data value zero, or equal to another? -----------------------------
 
@@ -86,6 +81,26 @@ def certificate_tol(lp_tol: float) -> float:
 #: Replay bound of a certificate from an exact LP (accepted at LP_TOL).
 CERTIFICATE_TOL = certificate_tol(LP_TOL)
 
+
+def flow_tol(atoms: int) -> float:
+    """Bound on one cell of a Block-Marschak flow certificate.
+
+    The flow on the subset lattice of `atoms` ids carries the
+    Block-Marschak sums, with those in [-AXIOM_TOL, 0) clipped to 0.
+    Clipping moves a value by at most AXIOM_TOL and leaves the two nodes
+    of its edge that much out of balance, so the chains leave undrained,
+    or drop, about that much mass on the edges around it.  The bound
+    takes each value the chains carry to be within AXIOM_TOL of its sum;
+    imbalances of many clipped sums that pile up on one edge could break
+    it, and the certificate's replay would then raise.  A cell rho(x, A)
+    sums 2^(atoms - |A|) flow values, at most 2^(atoms - 1) of them.
+    Dividing the chains by their total, which is within as much of 1,
+    at most doubles that.  The last term covers rounding: each sum adds
+    at most 2^atoms table values.
+    """
+    return 2**atoms * AXIOM_TOL + 1e-11
+
+
 #: Replay bound of a construction that takes no value from an LP.  It is
 #: exact up to rounding and the axioms' slack: a cell collects at most
 #: the AXIOM_TOL of each of the atomic cells of its menu, which is below
@@ -93,21 +108,23 @@ CERTIFICATE_TOL = certificate_tol(LP_TOL)
 VERIFY_TOL = 1e-9
 
 
-def replay_tol(terms: int) -> float:
-    """Replay bound of a table built from `terms` LP-certified cells.
+def replay_tol(terms: int, cell_tol: float = CERTIFICATE_TOL) -> float:
+    """Replay bound of a table built from `terms` certified cells.
 
     A rationalizing witness reproduces each cell of a mixed menu as a
     combination, with weights between 0 and 1, of the atomic cells of
-    the LP certificate it extends: `terms` is the number of atomic ids.
+    the certificate it extends: `terms` is the number of atomic ids, and
+    `cell_tol` bounds one cell of the certificate (CERTIFICATE_TOL after
+    the LP, ``flow_tol(terms)`` after the Block-Marschak flow).
     A collapsed ARU distribution reproduces each cell as such a
     combination of a menu's composition tuples, whose joint marginals
     match the menu's distribution within CERTIFICATE_TOL: `terms`
     bounds the number of tuples in one menu.  Each term misses by at
-    most CERTIFICATE_TOL, so the table misses by at most that many of
-    them on top of VERIFY_TOL.  A replay after an LP therefore never
-    rejects what the LP accepted.
+    most `cell_tol`, so the table misses by at most that many of them on
+    top of VERIFY_TOL.  A replay after a certificate therefore never
+    rejects what the certificate's check accepted.
     """
-    return VERIFY_TOL + terms * CERTIFICATE_TOL
+    return VERIFY_TOL + terms * cell_tol
 
 
 #: Replay bound of a grid-oracle witness.  It sits above the bound

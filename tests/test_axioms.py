@@ -1,4 +1,10 @@
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +28,13 @@ from aggchoice import (
     check_ru_rational,
     forward_evaluate,
     linprog,
+    rationalize,
     vertex_choice,
 )
-from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL
+from aggchoice import axioms
+from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL, bm_values
 from aggchoice.model import all_orders
+from aggchoice.tolerances import AXIOM_TOL, flow_tol
 from conftest import (
     random_composition,
     random_preferences,
@@ -213,6 +222,140 @@ class TestPartialRu:
         assert check_partial_ru(rho, space, method="lp").passed
 
 
+def atomic_space(n):
+    return AggregateSpace(tuple(f"i{k}" for k in range(n)), ())
+
+
+class TestBlockMarschakFlow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_moebius_values_match_bm_polynomial(self, n):
+        # The pass adds the same table values as the per-cell sum, in
+        # another order: each of the 2^n terms may round once.
+        space = atomic_space(n)
+        dom = ChoiceDomain.full(space)
+        tol = 2**n * np.finfo(float).eps
+        rng = np.random.default_rng(n)
+        for rho in (
+            random_table(space, dom, rng),
+            aru_evaluate(random_preferences(space.members, rng, 30), dom),
+        ):
+            values = bm_values(rho, space)
+            for menu in dom.menus:
+                s = sum(1 << space.index(a) for a in menu)
+                for item in menu:
+                    expected = bm_polynomial(rho, space, menu, item)
+                    assert abs(values[space.index(item), s] - expected) <= tol
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_certificate_replays_within_its_support_bound(self, n):
+        space = atomic_space(n)
+        dom = ChoiceDomain.full(space)
+        rng = np.random.default_rng(40 + n)
+        for support in (1, 5, 400):
+            rho = aru_evaluate(random_preferences(space.members, rng, support), dom)
+            report = check_partial_ru(rho, space, method="bm")
+            assert report.passed and report.method == "bm"
+            assert len(report.certificate.weights) <= n * 2 ** (n - 1)
+            replay = aru_evaluate(report.certificate, dom)
+            assert replay.max_cell_difference(rho) <= flow_tol(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_clipped_flow_replays_within_its_bound(self, n):
+        # Start from the flow of a few orders, then move mass from
+        # random chains onto the first order's chain, so edges the orders
+        # never use carry about -0.9 * AXIOM_TOL.  Data that still passes
+        # gives a certificate that replays within flow_tol inside the
+        # check, and a witness that replays within its bound.
+        space = AggregateSpace(tuple(f"i{k}" for k in range(n)), (A0,))
+        dom = ChoiceDomain.full(space)
+        full = 2**n - 1
+
+        def add_chain(flow, ranking, weight):
+            node = 0
+            for k in ranking:
+                flow[k, full ^ node] += weight
+                node |= 1 << k
+
+        clipped = 0
+        for trial in range(12):
+            rng = np.random.default_rng(100 * n + trial)
+            flow = np.zeros((n, 2**n))
+            orders = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+            for ranking in orders:
+                add_chain(flow, ranking, 1 / len(orders))
+            moves = int(rng.integers(1, 2 * n))
+            for _ in range(moves):
+                add_chain(flow, rng.permutation(n), -0.9 * AXIOM_TOL / moves)
+                add_chain(flow, orders[0], 0.9 * AXIOM_TOL / moves)
+            for b in range(n):  # back from flow values to choice probabilities
+                view = flow.reshape(n, -1, 2, 2**b)
+                view[:, :, 0] += view[:, :, 1]
+            table = {}
+            for menu in dom.menus:
+                s = sum(1 << space.index(a) for a in menu if a != A0)
+                row = {a: max(flow[space.index(a), s], 0.0) for a in menu if a != A0}
+                if A0 in menu:
+                    row = {a: 0.9 * p for a, p in row.items()} | {A0: 0.1}
+                total = math.fsum(row.values())
+                table[menu] = {a: p / total for a, p in row.items()}
+            rho = StochasticChoice(space, table)
+            report = check_ru_rational(rho, space)
+            if report.passed:
+                low = bm_values(rho, AggregateSpace(space.atomic, ())).min()
+                clipped += low < -0.5 * AXIOM_TOL
+                rationalize(rho, space)
+        assert clipped > 0
+
+    def test_certificate_is_independent_of_the_hash_seed(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import numpy as np\n"
+            "from aggchoice import *\n"
+            "space = AggregateSpace(('a', 'b', 'c', 'd'), ())\n"
+            "rng = np.random.default_rng(5)\n"
+            "orders = {LinearOrder(tuple(rng.permutation(space.members))): 1.0"
+            " for _ in range(12)}\n"
+            "mu = PreferenceDistribution({o: 1 / len(orders) for o in orders})\n"
+            "rho = aru_evaluate(mu, ChoiceDomain.full(space))\n"
+            "report = check_partial_ru(rho, space, method='bm')\n"
+            "print([(o.ranking, w.hex()) for o, w in report.certificate.items()])\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("(") > 2
+
+    def test_negative_value_gives_no_certificate(self):
+        space = AggregateSpace((X, Y, "z"), ())
+        rho = table(
+            space,
+            {
+                (X,): {X: 1.0},
+                (Y,): {Y: 1.0},
+                ("z",): {"z": 1.0},
+                (X, Y): {X: 0.6, Y: 0.4},
+                (X, "z"): {X: 0.6, "z": 0.4},
+                (Y, "z"): {Y: 0.5, "z": 0.5},
+                (X, Y, "z"): {X: 0.1, Y: 0.5, "z": 0.4},
+            },
+        )
+        report = check_partial_ru(rho, space, method="bm")
+        assert not report.passed
+        assert report.certificate is None
+        first = report.violations[0]
+        assert first.subject == (frozenset({X}), X)
+        assert first.lhs == pytest.approx(1 - 0.6 - 0.6 + 0.1)
+
+
 class TestRuRational:
     def test_vertices_pass(self, three_space, three_domain):
         rng = np.random.default_rng(77)
@@ -225,6 +368,15 @@ class TestRuRational:
         for _ in range(50):
             rho = random_vertex_mixture(three_space, three_domain, rng, 5)
             assert check_ru_rational(rho, three_space).passed
+
+    def test_no_atomic_ids_pass_without_a_certificate(self):
+        space = AggregateSpace((), (A0, "a1"))
+        rho = random_vertex_mixture(
+            space, ChoiceDomain.full(space), np.random.default_rng(3)
+        )
+        report = check_ru_rational(rho, space)
+        assert report.passed and report.method == "bm"
+        assert report.certificate is None
 
     def test_lm_violation_fails(self, three_space):
         rho = table(
@@ -335,6 +487,12 @@ class TestCertificateReplay:
     def test_partial_lp_route_raises(self, three_space, lying_solver):
         with pytest.raises(VerificationBug):
             check_partial_ru(self.uniform(three_space), three_space, method="lp")
+
+    def test_block_marschak_route_raises(self, three_space, monkeypatch):
+        # Chains that put all mass on one order cannot give uniform data.
+        monkeypatch.setattr(axioms, "_bm_flow_chains", lambda values: [((0, 1), 1.0)])
+        with pytest.raises(VerificationBug, match="Block-Marschak certificate"):
+            check_partial_ru(self.uniform(three_space), three_space, method="bm")
 
     def test_event_matrix_reaches_the_solver_as_bools(self, three_space, monkeypatch):
         seen = []

@@ -175,6 +175,18 @@ class TestSimulateAndSweep:
         assert payload["bias"] == pytest.approx(-0.1116, abs=1e-3)
         assert payload["squared_distance"] <= 1e-8  # menu-independent default
 
+    @pytest.mark.parametrize("triple", ["0.5,0.5,0.0000000005", "nan,0.5,0.5"])
+    def test_simulate_rejects_a_triple_at_the_parse(self, triple, capsys):
+        # The parse applies the composition distribution's own rule, so a
+        # total 5e-10 above 1 fails there, not inside the library.
+        assert main(["simulate", "--lambda-x", triple]) == 2
+        assert "composition triple must be a probability vector" in (
+            capsys.readouterr().err
+        )
+
+    def test_simulate_accepts_decimal_triples(self, capsys):
+        assert main(["simulate", "--lambda-x", "0.1,0.2,0.7"]) == 0
+
     def test_sweep_csv_deterministic(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(InvalidProbability):
             StochasticChoice(three_space, {frozenset({X, Y}): {X: 0.55, Y: 0.55}})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, three_space, bad):
+        with pytest.raises(InvalidProbability, match="non-finite"):
+            StochasticChoice(three_space, {frozenset({X, Y}): {X: bad, Y: 1.0}})
+
     def test_outside_menu_rejected(self, three_space):
         with pytest.raises(InvalidProbability):
             StochasticChoice(

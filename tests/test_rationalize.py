@@ -15,6 +15,7 @@ from aggchoice import (
     VariantUnavailable,
     all_orders,
     aru_evaluate,
+    bm_polynomial,
     build_lambda_for_menu,
     check_ru_rational,
     extend_preferences,
@@ -23,7 +24,7 @@ from aggchoice import (
 )
 from aggchoice import linprog
 from aggchoice.rationalize import blocker_id, bottom_id, top_id
-from aggchoice.tolerances import LP_TOL, VERIFY_TOL, replay_tol
+from aggchoice.tolerances import AXIOM_TOL, LP_TOL, VERIFY_TOL, flow_tol, replay_tol
 from conftest import random_preferences, random_vertex_mixture
 
 X, Y, A0, A1 = "x", "y", "a0", "a1"
@@ -305,7 +306,9 @@ class TestRationalize:
         # The atomic LP returns a point whose rows each miss by 0.9 * LP_TOL,
         # as its contract allows.  The renormalized certificate misses the
         # full atomic menu by nearly 2 * LP_TOL, more than VERIFY_TOL; the
-        # witness built on it must still replay.
+        # witness built on it must still replay.  Dropping {y, z} and the
+        # mixed menu over it makes the atomic domain partial, so both the
+        # check and the construction take the LP route.
         eps = 0.9 * LP_TOL
         space = AggregateSpace((X, Y, "z"), (A0,))
         first = LinearOrder((X, Y, "z"))
@@ -321,10 +324,58 @@ class TestRationalize:
             return linprog.FeasibilityResult(True, x, 0.0)
 
         monkeypatch.setattr(linprog, "solve_feasibility", solve)
-        rho = aru_evaluate(delta(X, Y, "z", A0), ChoiceDomain.full(space))
-        assert check_ru_rational(rho, space).passed
+        menus = ChoiceDomain.full(space).menus
+        kept = [m for m in menus if m & space.atomic_set != {Y, "z"}]
+        rho = aru_evaluate(delta(X, Y, "z", A0), ChoiceDomain(space, tuple(kept)))
+        report = check_ru_rational(rho, space)
+        assert report.passed and report.method == "lp"
         result = rationalize(rho, space)
         assert VERIFY_TOL < result.residual <= replay_tol(len(space.atomic))
+
+    def test_full_atomic_domain_needs_no_lp(self, monkeypatch):
+        calls = []
+        solve = linprog.solve_feasibility
+
+        def spy(a, b, tol):
+            calls.append(a.shape)
+            return solve(a, b, tol)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", spy)
+        space = AggregateSpace((X, Y, "z", "w"), (A0,))
+        rho = random_vertex_mixture(
+            space, ChoiceDomain.full(space), np.random.default_rng(8)
+        )
+        result = rationalize(rho, space)
+        assert calls == []
+        assert result.residual <= VERIFY_TOL
+
+    def test_block_marschak_sum_within_the_slack(self):
+        # Under x y z: 0.1, x z y: 0.1, z x y: 0.4, y x z: 0.4 the sum
+        # q(x, {x}) is 0.  Moving 0.9 * AXIOM_TOL of {x, y, z} from x to
+        # y makes it -0.9 * AXIOM_TOL: the check passes, and the flow
+        # carries 0 on that edge.
+        space = AggregateSpace((X, Y, "z"), (A0,))
+        mu = PreferenceDistribution(
+            {
+                LinearOrder((X, Y, "z", A0)): 0.1,
+                LinearOrder((X, "z", Y, A0)): 0.1,
+                LinearOrder(("z", X, Y, A0)): 0.4,
+                LinearOrder((Y, X, "z", A0)): 0.4,
+            }
+        )
+        exact = aru_evaluate(mu, ChoiceDomain.full(space))
+        eps = 0.9 * AXIOM_TOL
+        menu = frozenset({X, Y, "z"})
+        row = exact.row(menu)
+        row[X] -= eps
+        row[Y] += eps
+        rho = StochasticChoice(space, {**exact.table, menu: row})
+        value = bm_polynomial(rho, space, frozenset({X}), X)
+        assert -AXIOM_TOL < value <= -0.8 * AXIOM_TOL
+        report = check_ru_rational(rho, space)
+        assert report.passed and report.method == "bm"
+        result = rationalize(rho, space)
+        assert eps / 2 < result.residual <= replay_tol(3, flow_tol(3))
 
     def test_variant_unavailable(self):
         space = AggregateSpace((X,), (A0, A1))

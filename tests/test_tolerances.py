@@ -13,12 +13,14 @@ from aggchoice.model import verify_replay
 from aggchoice.render import _color
 from aggchoice.tolerances import (
     ANCHOR_TOL,
+    AXIOM_TOL,
     CERTIFICATE_TOL,
     GRID_REPLAY_TOL,
     GRID_TOL,
     LP_TOL,
     VERIFY_TOL,
     certificate_tol,
+    flow_tol,
     grid_steps,
     replay_tol,
 )
@@ -55,6 +57,13 @@ def test_names_read_by_other_modules_keep_their_values():
     assert rationalize.VERIFY_TOL == VERIFY_TOL == 1e-9
     assert axioms.CERTIFICATE_TOL == CERTIFICATE_TOL == certificate_tol(LP_TOL)
     assert linprog.solve_feasibility.__defaults__ == (LP_TOL,)
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
+def test_flow_bound_covers_the_clipped_sums(atoms):
+    # A singleton's cell sums 2^(atoms - 1) flow values, each within
+    # AXIOM_TOL of its Block-Marschak sum; renormalizing may double that.
+    assert flow_tol(atoms) >= 2 * 2 ** (atoms - 1) * AXIOM_TOL
 
 
 def test_replay_bounds_after_an_lp_cover_its_acceptance():
