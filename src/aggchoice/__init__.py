@@ -30,7 +30,6 @@ from .errors import (
     AxiomViolated,
     DomainClosureViolated,
     DomainTooLarge,
-    EmptySupport,
     GroundMismatch,
     IncompleteDomain,
     InvalidProbability,
@@ -84,7 +83,6 @@ from .rationalize import (
 )
 from .simulation import (
     MinMaxRow,
-    SweepConfig,
     SweepRow,
     bias,
     fit_aggregated_logit,

@@ -255,63 +255,58 @@ def _lp_rationalize(
     return AxiomReport(passed=True, certificate=certificate, method="lp")
 
 
-def check_partial_ru(
-    rho: StochasticChoice, space: AggregateSpace, method: str = "auto"
-) -> AxiomReport:
-    """Random-utility consistency on the all-atomic menus.
+def _partial_ru_lp(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
+    """The order-enumeration LP on the all-atomic menus.
 
-    The Block-Marschak route needs the full atomic domain and checks all
-    alternating sums for nonnegativity; on a pass, the chains of their
-    flow are the certificate.  The LP route solves the exact feasibility
-    problem over enumerated atomic orders, and its support is the
-    certificate.  Either certificate is replayed against the data.
-    `auto` picks the BM route exactly when the atomic domain is full.
+    `check_partial_ru` takes this route on a partial atomic domain; on a
+    full one it is the exact reference the Block-Marschak route is
+    tested against.
     """
     atoms = space.atomic
-    menus = _atomic_menus(rho, space)
-    full_count = 2 ** len(atoms) - 1
-    is_full = len(menus) == full_count
-    if method == "auto":
-        method = "bm" if is_full else "lp"
-    if method == "bm":
-        if not is_full:
-            raise IncompleteDomain(
-                "Block-Marschak route requires every nonempty atomic menu"
-            )
-        values = bm_values(rho, space)
-        position = {a: k for k, a in enumerate(atoms)}
-        violations = []
-        for menu in menus:
-            s = sum(1 << position[a] for a in menu)
-            for item in space.sort(menu):
-                value = float(values[position[item], s])
-                if value < -AXIOM_TOL:
-                    violations.append(
-                        Violation("block-marschak", (menu, item), value, 0.0)
-                    )
-        if violations:
-            violations.sort(
-                key=lambda v: (space.menu_key(v.subject[0]), v.subject[1])
-            )
-            return AxiomReport(
-                passed=False, violations=tuple(violations), method="bm"
-            )
-        # Without atomic ids there is no order to certify.
-        certificate = _bm_certificate(values, rho, menus, atoms) if atoms else None
-        return AxiomReport(passed=True, certificate=certificate, method="bm")
-    if method != "lp":
-        raise ValueError(f"unknown method {method!r}")
     if len(atoms) > MAX_ATOMIC_LP:
         raise DomainTooLarge(
             f"LP route enumerates {len(atoms)}! orders; cap is {MAX_ATOMIC_LP}"
         )
-    return _lp_rationalize(rho, menus, atoms, "partial-ru-lp-infeasible")
+    return _lp_rationalize(
+        rho, _atomic_menus(rho, space), atoms, "partial-ru-lp-infeasible"
+    )
+
+
+def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
+    """Random-utility consistency on the all-atomic menus.
+
+    The domain picks the route.  On the full atomic domain, the
+    Block-Marschak route checks all alternating sums for nonnegativity,
+    which is exact there (Falmagne 1978); on a pass, the chains of their
+    flow are the certificate.  Otherwise the LP route solves the exact
+    feasibility problem over enumerated atomic orders, and its support
+    is the certificate.  Either certificate is replayed against the data.
+    """
+    atoms = space.atomic
+    menus = _atomic_menus(rho, space)
+    if len(menus) != 2 ** len(atoms) - 1:
+        return _partial_ru_lp(rho, space)
+    values = bm_values(rho, space)
+    position = {a: k for k, a in enumerate(atoms)}
+    violations = []
+    for menu in menus:
+        s = sum(1 << position[a] for a in menu)
+        for item in space.sort(menu):
+            value = float(values[position[item], s])
+            if value < -AXIOM_TOL:
+                violations.append(Violation("block-marschak", (menu, item), value, 0.0))
+    if violations:
+        violations.sort(key=lambda v: (space.menu_key(v.subject[0]), v.subject[1]))
+        return AxiomReport(passed=False, violations=tuple(violations), method="bm")
+    # Without atomic ids there is no order to certify.
+    certificate = _bm_certificate(values, rho, menus, atoms) if atoms else None
+    return AxiomReport(passed=True, certificate=certificate, method="bm")
 
 
 def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
     """Full characterization: limited monotonicity plus partial RU."""
     lm = check_limited_monotonicity(rho, space)
-    partial = check_partial_ru(rho, space, method="auto")
+    partial = check_partial_ru(rho, space)
     merged = AxiomReport.merge(lm, partial)
     return AxiomReport(
         passed=merged.passed,

@@ -24,7 +24,6 @@ from .axioms import (
     check_ru_rational,
 )
 from .errors import AggChoiceError, AxiomViolated, NotRURational, VariantUnavailable
-from .model import StochasticChoice
 from .geometry import (
     approx_caratheodory,
     aru_distance,
@@ -35,19 +34,10 @@ from .model import ChoiceDomain, forward_evaluate
 from .rationalize import rationalize
 from .render import heatmap_svg
 from .serialize import Manifest, ManifestError
-from .simulation import (
-    MARKET_MENUS,
-    UTILITY_SWEEP_TRIPLES,
-    MinMaxRow,
-    SweepConfig,
-    bias,
-    composition_from_triples,
-    fit_aggregated_logit,
-    make_world,
-    minmax_bias,
-    reduce_dataset,
-    sweep,
-)
+from .simulation import MARKET_MENUS, MinMaxRow, minmax_bias, simulate_point, sweep
+
+# Unused here, but bench/tracing.py patches these names at this import site.
+from .simulation import fit_aggregated_logit, reduce_dataset  # noqa: F401
 from .tolerances import PROB_TOL
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -127,7 +117,7 @@ def _cmd_check(args) -> int:
     space = manifest.space
     checks = {
         "lm": lambda: check_limited_monotonicity(rho, space),
-        "partial": lambda: check_partial_ru(rho, space, method=args.method),
+        "partial": lambda: check_partial_ru(rho, space),
         "ru": lambda: check_ru_rational(rho, space),
         "aru": lambda: check_aru_rational(rho, space),
     }
@@ -293,22 +283,19 @@ def _cmd_simulate(args) -> int:
         frozenset({"y", "a0"}): _parse_triple(args.lambda_y),
         frozenset({"x", "y", "a0"}): _parse_triple(args.lambda_xy),
     }
-    space, correspondence, domain = make_world()
-    composition = composition_from_triples(triples, domain)
-    rho = reduce_dataset(utilities, correspondence, composition, domain.menus)
-    markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
-    estimates = fit_aggregated_logit(markets, normalize="a0")
-    distance = aru_distance(rho, space)
+    point = simulate_point(utilities, triples, "both")
+    rho = point.reduced
+    space = rho.space
     payload = {
         "utilities": utilities,
-        "estimates": {a: float(v) for a, v in estimates.items()},
+        "estimates": {a: float(v) for a, v in point.estimates.items()},
         "estimation": {
             "menu_weighting": "equal-per-menu",
             "normalized": "a0",
             "menus": [sorted(m) for m in MARKET_MENUS],
         },
-        "bias": bias(estimates, utilities),
-        "squared_distance": distance.squared_distance,
+        "bias": point.bias,
+        "squared_distance": point.squared_distance,
         "reduced": [
             {
                 "menu": list(space.sort(menu)),
@@ -349,12 +336,8 @@ def _cmd_sweep(args) -> int:
         data = [astuple(r) for r in rows]
         title = "bias at the menu-independent point"
     else:
-        options = {"lambda_step": args.grid, "measures": args.measures}
-        if args.mode == "utility":
-            options.update(
-                utility_step=args.resolution, fixed_triples=UTILITY_SWEEP_TRIPLES
-            )
-        rows = sweep(SweepConfig(mode=args.mode, **options))
+        step = args.grid if args.mode == "lambda" else args.resolution
+        rows = sweep(args.mode, step, args.measures)
         measured = MEASURED_COLUMNS[args.measures]
         header = [name for name, _ in rows[0].point] + list(measured)
         data = [
@@ -391,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--axiom", choices=("lm", "partial", "ru", "aru"), default="ru"
     )
-    check.add_argument("--method", choices=("bm", "lp", "auto"), default="auto")
     check.set_defaults(func=_cmd_check)
 
     rat = sub.add_parser("rationalize", help="construct a rationalizing model")

@@ -59,10 +59,6 @@ class VariantUnavailable(AggChoiceError):
     """The requested rationalization variant does not apply to this space."""
 
 
-class EmptySupport(AggChoiceError):
-    """A preference distribution with empty support was supplied."""
-
-
 class NotRURational(AggChoiceError):
     """The operation requires data inside the RU polytope."""
 

@@ -64,6 +64,16 @@ def _cell_vector(rho: StochasticChoice, cells: list[tuple[Menu, str]]) -> np.nda
     return np.array([rho.prob(m, a) for m, a in cells])
 
 
+def _cell_table(
+    space: AggregateSpace, cells: list[tuple[Menu, str]], vector: np.ndarray
+) -> StochasticChoice:
+    """The table holding `vector` at its `cells`, the inverse of `_cell_vector`."""
+    table: dict[Menu, dict[str, float]] = {}
+    for (menu, a), p in zip(cells, vector):
+        table.setdefault(menu, {})[a] = float(p)
+    return StochasticChoice(space, table)
+
+
 def aru_vertices(
     space: AggregateSpace, domain: ChoiceDomain
 ) -> list[tuple[LinearOrder, StochasticChoice]]:
@@ -140,8 +150,7 @@ def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult
     at duality gap GAP_TOL; hitting the iteration cap (MAX_FW_ITERATIONS)
     is reported in the result, never silent.
     """
-    domain = rho.domain()
-    cells = domain.cells()
+    cells = rho.domain().cells()
     # One row per vertex: the Frank-Wolfe sums below depend on this layout.
     vertices = np.asarray(
         order_events(space.members, cells).T, dtype=float, order="C"
@@ -181,17 +190,7 @@ def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult
         weights = weights[keep]
 
     x = weights @ vertices[active]
-    projection = StochasticChoice(
-        space,
-        {
-            menu: {
-                a: float(x[i])
-                for i, (m, a) in enumerate(cells)
-                if m == menu
-            }
-            for menu in domain.menus
-        },
-    )
+    projection = _cell_table(space, cells, x)
     mixture = {
         nth_order(space.members, a): float(w) for a, w in zip(active, weights)
     }
@@ -267,10 +266,7 @@ class SparseApproximation:
 
 
 def approx_caratheodory(
-    rho: StochasticChoice,
-    k: int,
-    space: AggregateSpace,
-    skip_check: bool = False,
+    rho: StochasticChoice, k: int, space: AggregateSpace
 ) -> SparseApproximation:
     """Select k RU vertices whose uniform average approximates the data.
 
@@ -281,10 +277,12 @@ def approx_caratheodory(
     vertices then has mean squared distance at most 1/k whenever the
     data lies inside the RU polytope.  The classical 2/(t+2)-weighted
     Frank-Wolfe iterate over the same selection is reported alongside.
+    Data that fail `check_ru_rational` raise `NotRURational`, because the
+    bound holds only inside the RU polytope.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not skip_check and not check_ru_rational(rho, space).passed:
+    if not check_ru_rational(rho, space).passed:
         raise NotRURational("sparse approximation needs RU-rational data")
     domain = rho.domain()
     cells = domain.cells()
@@ -314,17 +312,7 @@ def approx_caratheodory(
         x = (1.0 - step) * x + step * v
 
     uniform = running / k
-    approximation = StochasticChoice(
-        space,
-        {
-            menu: {
-                a: float(uniform[i])
-                for i, (m, a) in enumerate(cells)
-                if m == menu
-            }
-            for menu in domain.menus
-        },
-    )
+    approximation = _cell_table(space, cells, uniform)
     return SparseApproximation(
         vertices=tuple(chosen),
         weights=tuple([1.0 / k] * k),

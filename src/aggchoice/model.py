@@ -174,7 +174,6 @@ class ChoiceDomain:
 
     space: AggregateSpace
     menus: tuple[Menu, ...]
-    kind: str = "custom"
 
     def __post_init__(self):
         menus = tuple(frozenset(m) for m in self.menus)
@@ -207,7 +206,7 @@ class ChoiceDomain:
             for r in range(1, len(ids) + 1)
             for c in itertools.combinations(ids, r)
         ]
-        return ChoiceDomain(space, tuple(menus), kind="full")
+        return ChoiceDomain(space, tuple(menus))
 
     @staticmethod
     def all_containing(space: AggregateSpace, aggregate: str) -> "ChoiceDomain":
@@ -218,7 +217,7 @@ class ChoiceDomain:
             for r in range(0, len(rest) + 1)
             for c in itertools.combinations(rest, r)
         ]
-        return ChoiceDomain(space, tuple(menus), kind="all-containing")
+        return ChoiceDomain(space, tuple(menus))
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,8 @@ class StochasticChoice:
     def row(self, menu: Iterable[str]) -> dict[str, float]:
         return dict(self.table[frozenset(menu)])
 
-    def domain(self, kind: str = "custom") -> ChoiceDomain:
-        return ChoiceDomain(self.space, self.menus, kind=kind)
+    def domain(self) -> ChoiceDomain:
+        return ChoiceDomain(self.space, self.menus)
 
     def cells(self) -> list[tuple[Menu, str, float]]:
         return [

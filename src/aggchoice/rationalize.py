@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .axioms import AxiomReport, check_limited_monotonicity, check_partial_ru
-from .errors import AxiomViolated, EmptySupport, GroundMismatch, VariantUnavailable
+from .errors import AxiomViolated, GroundMismatch, VariantUnavailable
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -98,8 +98,6 @@ def extend_preferences(
         raise VariantUnavailable("nothing to extend without non-atomic aggregates")
     if atomic_prefs.ground != space.atomic_set:
         raise GroundMismatch("atomic distribution must rank exactly the atomic ids")
-    if not atomic_prefs.weights:
-        raise EmptySupport("atomic distribution has empty support")
 
     correspondence = _synthetic_correspondence(space, variant)
     tail: list[str] = []

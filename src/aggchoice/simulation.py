@@ -14,7 +14,7 @@ measures the same misspecification geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -283,26 +283,53 @@ def simplex_grid(step: float) -> list[tuple[float, float, float]]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Protocol for one heatmap sweep."""
+#: The market whose composition the lambda sweep varies, and the
+#: compositions of the other two markets there.
+LAMBDA_SWEEP_MENU: Menu = frozenset({"x", "a0"})
+LAMBDA_SWEEP_TRIPLES: dict[Menu, tuple[float, float, float]] = {
+    frozenset({"y", "a0"}): BENCHMARK_TRIPLE,
+    frozenset({"x", "y", "a0"}): BENCHMARK_TRIPLE,
+}
 
-    mode: str  # "lambda" (vary one menu's composition) or "utility"
-    utilities: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_UTILITIES)
-    )
-    vary_menu: Menu = frozenset({"x", "a0"})
-    fixed_triples: Mapping[Menu, tuple[float, float, float]] = field(
-        default_factory=lambda: {
-            frozenset({"y", "a0"}): BENCHMARK_TRIPLE,
-            frozenset({"x", "y", "a0"}): BENCHMARK_TRIPLE,
-        }
-    )
-    lambda_step: float = 0.1
-    utility_low: float = -5.0
-    utility_high: float = 5.0
-    utility_step: float = 0.5
-    measures: str = "both"  # "bias", "distance", or "both"
+#: The range the utility sweep gives u(z) and u(w).
+UTILITY_LOW, UTILITY_HIGH = -5.0, 5.0
+
+
+@dataclass(frozen=True)
+class SimulatedPoint:
+    """The reduced data of one simulated world and what was measured on it.
+
+    `estimates` and `bias` come from the three-market aggregated-logit
+    fit, `squared_distance` from the ARU projection of all menus; each is
+    None when its measure was not asked for.
+    """
+
+    reduced: StochasticChoice
+    estimates: dict[str, float] | None
+    bias: float | None
+    squared_distance: float | None
+
+
+def simulate_point(
+    utilities: Mapping[str, float],
+    triples: Mapping[Menu, Sequence[float]],
+    measures: str,
+) -> SimulatedPoint:
+    """Reduce the logit world at these utilities and market compositions.
+
+    `measures` is "bias", "distance" or "both".
+    """
+    space, correspondence, domain = make_world()
+    composition = composition_from_triples(triples, domain)
+    rho = reduce_dataset(utilities, correspondence, composition, domain.menus)
+    estimates = bias_value = distance = None
+    if measures in ("bias", "both"):
+        markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
+        estimates = fit_aggregated_logit(markets, normalize="a0")
+        bias_value = bias(estimates, utilities)
+    if measures in ("distance", "both"):
+        distance = aru_distance(rho, space).squared_distance
+    return SimulatedPoint(rho, estimates, bias_value, distance)
 
 
 @dataclass(frozen=True)
@@ -312,58 +339,45 @@ class SweepRow:
     squared_distance: float | None
 
 
-def _measure(
-    utilities: Mapping[str, float],
-    triples: Mapping[Menu, Sequence[float]],
-    measures: str,
-) -> tuple[float | None, float | None]:
-    space, correspondence, domain = make_world()
-    composition = composition_from_triples(triples, domain)
-    rho_full = reduce_dataset(utilities, correspondence, composition, domain.menus)
-    bias_value = None
-    if measures in ("bias", "both"):
-        markets = StochasticChoice(
-            space, {m: rho_full.row(m) for m in MARKET_MENUS}
-        )
-        estimates = fit_aggregated_logit(markets, normalize="a0")
-        bias_value = bias(estimates, utilities)
-    distance_value = None
-    if measures in ("distance", "both"):
-        distance_value = aru_distance(rho_full, space).squared_distance
-    return bias_value, distance_value
-
-
-def sweep(config: SweepConfig) -> list[SweepRow]:
+def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     """Evaluate bias and ARU distance over a parameter grid.
 
-    Lambda mode varies one menu's composition triple over the simplex
-    grid while the other menus stay fixed; utility mode varies the
-    utilities of the two underlying outside alternatives over a square
-    grid while all composition triples stay fixed.  Rows come out in
-    grid order.
+    Lambda mode varies the LAMBDA_SWEEP_MENU market's composition triple
+    over the simplex grid at `step`, the other markets at
+    LAMBDA_SWEEP_TRIPLES; utility mode varies u(z) and u(w) over a square
+    grid from UTILITY_LOW to UTILITY_HIGH at `step`, the markets at
+    UTILITY_SWEEP_TRIPLES.  The other utilities are DEFAULT_UTILITIES.
+    `measures` is "bias", "distance" or "both".  Rows come out in grid
+    order.
     """
-    rows: list[SweepRow] = []
-    if config.mode == "lambda":
-        for z, w, zw in simplex_grid(config.lambda_step):
-            triples = dict(config.fixed_triples)
-            triples[config.vary_menu] = (z, w, zw)
-            b, d = _measure(config.utilities, triples, config.measures)
-            rows.append(
-                SweepRow((("lam_z", z), ("lam_w", w), ("lam_zw", zw)), b, d)
+    if mode == "lambda":
+        grid = [
+            (
+                (("lam_z", z), ("lam_w", w), ("lam_zw", zw)),
+                DEFAULT_UTILITIES,
+                {**LAMBDA_SWEEP_TRIPLES, LAMBDA_SWEEP_MENU: (z, w, zw)},
             )
-        return rows
-    if config.mode == "utility":
-        steps = round((config.utility_high - config.utility_low) / config.utility_step)
-        marks = [config.utility_low + i * config.utility_step for i in range(steps + 1)]
-        for uz in marks:
-            for uw in marks:
-                utilities = dict(config.utilities)
-                utilities["z"] = uz
-                utilities["w"] = uw
-                b, d = _measure(utilities, config.fixed_triples, config.measures)
-                rows.append(SweepRow((("u_z", uz), ("u_w", uw)), b, d))
-        return rows
-    raise ValueError(f"unknown sweep mode {config.mode!r}")
+            for z, w, zw in simplex_grid(step)
+        ]
+    elif mode == "utility":
+        steps = round((UTILITY_HIGH - UTILITY_LOW) / step)
+        marks = [UTILITY_LOW + i * step for i in range(steps + 1)]
+        grid = [
+            (
+                (("u_z", uz), ("u_w", uw)),
+                {**DEFAULT_UTILITIES, "z": uz, "w": uw},
+                UTILITY_SWEEP_TRIPLES,
+            )
+            for uz in marks
+            for uw in marks
+        ]
+    else:
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    rows = []
+    for coords, utilities, triples in grid:
+        point = simulate_point(utilities, triples, measures)
+        rows.append(SweepRow(coords, point.bias, point.squared_distance))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +437,24 @@ def _bias_extremes(
     return float(max_bias), float(min_bias), float(min_abs_bias)
 
 
-def minmax_bias(
-    utilities: Mapping[str, float] | None = None,
-    outer_step: float = 0.1,
-    inner_step: float = 0.1,
-) -> list[MinMaxRow]:
+def minmax_bias(outer_step: float = 0.1, inner_step: float = 0.1) -> list[MinMaxRow]:
     """Extremal biases over all admissible market compositions.
 
-    Each binary market exactly identifies its own utility against the
-    pinned outside aggregate (u_hat(x) is the log share ratio of the
-    {x, a0} market, likewise for y), which is the aggregated-logit fit
-    on those two markets.  For each composition triple of the grand menu
-    {x, y, a0}, the inner grid ranges over every pair of triples for the
-    two binary markets; reported per outer point are the most positive
-    bias, the most negative bias, the smallest absolute bias, and the
-    bias of the menu-independent point where all three triples coincide.
-    The three extremes range over the binary markets only, so they are
-    computed once and repeat in every row.  Rows come out in
-    (lam_w, lam_z) grid order, matching the table axes.
+    The utilities are DEFAULT_UTILITIES.  Each binary market exactly
+    identifies its own utility against the pinned outside aggregate
+    (u_hat(x) is the log share ratio of the {x, a0} market, likewise for
+    y), which is the aggregated-logit fit on those two markets.  For each
+    composition triple of the grand menu {x, y, a0}, the inner grid
+    ranges over every pair of triples for the two binary markets;
+    reported per outer point are the most positive bias, the most
+    negative bias, the smallest absolute bias, and the bias of the
+    menu-independent point where all three triples coincide.  The three
+    extremes range over the binary markets only, so they are computed
+    once and repeat in every row.  Rows come out in (lam_w, lam_z) grid
+    order, matching the table axes.
     """
-    utilities = dict(DEFAULT_UTILITIES if utilities is None else utilities)
-    vectors = _market_vectors(utilities)
-    true_gap = utilities["x"] - utilities["y"]
+    vectors = _market_vectors(DEFAULT_UTILITIES)
+    true_gap = DEFAULT_UTILITIES["x"] - DEFAULT_UTILITIES["y"]
 
     def fit(share: float) -> float:
         return math.log(share / (1.0 - share))

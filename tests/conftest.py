@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from aggchoice import (
@@ -14,6 +15,7 @@ from aggchoice import (
     StochasticChoice,
     vertex_choice,
 )
+from aggchoice.tolerances import AXIOM_TOL
 
 
 @pytest.fixture
@@ -120,4 +122,50 @@ def random_table(space, domain, rng) -> StochasticChoice:
         w = rng.random(len(menu)) + 1e-9
         w /= w.sum()
         table[menu] = dict(zip(space.sort(menu), (float(v) for v in w)))
+    return StochasticChoice(space, table)
+
+
+def pushed_flow_table(space, rng, push, outside_share) -> StochasticChoice:
+    """Full-domain data whose Block-Marschak sums reach about -push * AXIOM_TOL.
+
+    Starts from the flow of a few random orders of the atomic ids, then
+    moves push * AXIOM_TOL of mass from random chains onto the first
+    order's chain, so edges the orders never use carry down to about
+    -push * AXIOM_TOL.  A mixed menu scales its atomic row by
+    1 - outside_share and gives the rest to the space's one non-atomic
+    aggregate.
+    """
+    n = len(space.atomic)
+    (outside,) = space.non_atomic
+    full = 2**n - 1
+
+    def add_chain(flow, ranking, weight):
+        node = 0
+        for k in ranking:
+            flow[k, full ^ node] += weight
+            node |= 1 << k
+
+    flow = np.zeros((n, 2**n))
+    orders = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+    for ranking in orders:
+        add_chain(flow, ranking, 1 / len(orders))
+    moves = int(rng.integers(1, 2 * n))
+    for _ in range(moves):
+        add_chain(flow, rng.permutation(n), -push * AXIOM_TOL / moves)
+        add_chain(flow, orders[0], push * AXIOM_TOL / moves)
+    for b in range(n):  # back from flow values to choice probabilities
+        view = flow.reshape(n, -1, 2, 2**b)
+        view[:, :, 0] += view[:, :, 1]
+    table = {}
+    for menu in ChoiceDomain.full(space).menus:
+        if menu == {outside}:
+            table[menu] = {outside: 1.0}
+            continue
+        s = sum(1 << space.index(a) for a in menu if a != outside)
+        row = {a: max(flow[space.index(a), s], 0.0) for a in menu if a != outside}
+        if outside in menu:
+            share = 1 - outside_share
+            row = {a: share * p for a, p in row.items()} | {outside: outside_share}
+        total = math.fsum(row.values())
+        table[menu] = {a: p / total for a, p in row.items()}
     return StochasticChoice(space, table)

@@ -21,7 +21,6 @@ from aggchoice import (
     LinearOrder,
     MenuCollectionFamily,
     StochasticChoice,
-    SweepConfig,
     approx_caratheodory,
     aru_distance,
     aru_evaluate,
@@ -42,6 +41,7 @@ from aggchoice import (
     vertex_choice,
     vertex_count_lower_bound,
 )
+from aggchoice.axioms import _partial_ru_lp
 from aggchoice.model import all_orders
 from aggchoice.simulation import (
     DEFAULT_UTILITIES,
@@ -216,7 +216,7 @@ def test_criterion_06_sparse_approximation_bound():
     for _ in range(50):
         rho = random_vertex_mixture(space, domain, rng, max_vertices=10)
         for k in (2, 4, 10):
-            result = approx_caratheodory(rho, k, space, skip_check=True)
+            result = approx_caratheodory(rho, k, space)
             ok = ok and result.achieved <= 1.0 / k + 1e-12
             if k == 10:
                 worst_ten = max(worst_ten, result.achieved)
@@ -305,7 +305,7 @@ def test_criterion_11_zero_distance_cell():
     # remains exactly ARU-rational, so the composition-space reading of
     # the dominance clause is unattainable; see the decisions ledger.
     space, corr, domain = make_world()
-    rows = sweep(SweepConfig(mode="lambda", measures="distance"))
+    rows = sweep("lambda", 0.1, "distance")
     base = composition_from_triples(
         {m: (0.8, 0.1, 0.1) for m in MARKET_MENUS}, domain
     )
@@ -379,8 +379,8 @@ def test_criterion_13_bm_lp_agreement():
         for _ in range(trials):
             total += 1
             rho = random_table(space, domain, rng)
-            bm = check_partial_ru(rho, space, method="bm").passed
-            lp = check_partial_ru(rho, space, method="lp").passed
+            bm = check_partial_ru(rho, space).passed
+            lp = _partial_ru_lp(rho, space).passed
             agreements += bm == lp
     verdict(
         13,

@@ -1,5 +1,4 @@
 
-import math
 import os
 import pathlib
 import subprocess
@@ -32,10 +31,11 @@ from aggchoice import (
     vertex_choice,
 )
 from aggchoice import axioms
-from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL, bm_values
+from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL, _partial_ru_lp, bm_values
 from aggchoice.model import all_orders
 from aggchoice.tolerances import AXIOM_TOL, flow_tol
 from conftest import (
+    pushed_flow_table,
     random_composition,
     random_preferences,
     random_table,
@@ -146,8 +146,9 @@ class TestPartialRu:
         rho = StochasticChoice(
             space, {m: {a: 1 / len(m) for a in m} for m in dom.menus}
         )
-        bm = check_partial_ru(rho, space, method="bm")
-        lp = check_partial_ru(rho, space, method="lp")
+        bm = check_partial_ru(rho, space)
+        lp = _partial_ru_lp(rho, space)
+        assert bm.method == "bm" and lp.method == "lp"
         assert bm.passed and lp.passed
         replay = aru_evaluate(lp.certificate, dom)
         assert replay.max_cell_difference(rho) < 1e-9
@@ -166,8 +167,8 @@ class TestPartialRu:
                 (X, Y, "z"): {X: 0.1, Y: 0.5, "z": 0.4},
             },
         )
-        assert not check_partial_ru(rho, space, method="bm").passed
-        assert not check_partial_ru(rho, space, method="lp").passed
+        assert not check_partial_ru(rho, space).passed
+        assert not _partial_ru_lp(rho, space).passed
 
     def test_aru_round_trip_passes(self):
         rng = np.random.default_rng(31)
@@ -175,7 +176,7 @@ class TestPartialRu:
         dom = ChoiceDomain.full(space)
         for _ in range(50):
             rho = aru_evaluate(random_preferences(space.members, rng), dom)
-            assert check_partial_ru(rho, space, method="auto").passed
+            assert check_partial_ru(rho, space).passed
 
     def test_auto_picks_bm_on_full_domain(self, three_space, three_domain):
         rho = aru_evaluate(
@@ -190,8 +191,8 @@ class TestPartialRu:
             {(X,): {X: 1.0}, (X, A0): {X: 0.4, A0: 0.6}},
         )
         with pytest.raises(IncompleteDomain):
-            check_partial_ru(rho, three_space, method="bm")
-        assert check_partial_ru(rho, three_space, method="auto").method == "lp"
+            bm_values(rho, three_space)
+        assert check_partial_ru(rho, three_space).method == "lp"
 
     def test_bm_lp_agreement_random(self):
         rng = np.random.default_rng(99)
@@ -200,8 +201,8 @@ class TestPartialRu:
             dom = ChoiceDomain.full(space)
             for _ in range(40):
                 rho = random_table(space, dom, rng)
-                bm = check_partial_ru(rho, space, method="bm").passed
-                lp = check_partial_ru(rho, space, method="lp").passed
+                bm = check_partial_ru(rho, space).passed
+                lp = _partial_ru_lp(rho, space).passed
                 assert bm == lp
 
     @given(p12=st.floats(0.0, 1.0))
@@ -218,8 +219,8 @@ class TestPartialRu:
                 frozenset({X, Y}): {X: p12, Y: 1.0 - p12},
             },
         )
-        assert check_partial_ru(rho, space, method="bm").passed
-        assert check_partial_ru(rho, space, method="lp").passed
+        assert check_partial_ru(rho, space).passed
+        assert _partial_ru_lp(rho, space).passed
 
 
 def atomic_space(n):
@@ -253,7 +254,7 @@ class TestBlockMarschakFlow:
         rng = np.random.default_rng(40 + n)
         for support in (1, 5, 400):
             rho = aru_evaluate(random_preferences(space.members, rng, support), dom)
-            report = check_partial_ru(rho, space, method="bm")
+            report = check_partial_ru(rho, space)
             assert report.passed and report.method == "bm"
             assert len(report.certificate.weights) <= n * 2 ** (n - 1)
             replay = aru_evaluate(report.certificate, dom)
@@ -267,38 +268,10 @@ class TestBlockMarschakFlow:
         # gives a certificate that replays within flow_tol inside the
         # check, and a witness that replays within its bound.
         space = AggregateSpace(tuple(f"i{k}" for k in range(n)), (A0,))
-        dom = ChoiceDomain.full(space)
-        full = 2**n - 1
-
-        def add_chain(flow, ranking, weight):
-            node = 0
-            for k in ranking:
-                flow[k, full ^ node] += weight
-                node |= 1 << k
-
         clipped = 0
         for trial in range(12):
             rng = np.random.default_rng(100 * n + trial)
-            flow = np.zeros((n, 2**n))
-            orders = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
-            for ranking in orders:
-                add_chain(flow, ranking, 1 / len(orders))
-            moves = int(rng.integers(1, 2 * n))
-            for _ in range(moves):
-                add_chain(flow, rng.permutation(n), -0.9 * AXIOM_TOL / moves)
-                add_chain(flow, orders[0], 0.9 * AXIOM_TOL / moves)
-            for b in range(n):  # back from flow values to choice probabilities
-                view = flow.reshape(n, -1, 2, 2**b)
-                view[:, :, 0] += view[:, :, 1]
-            table = {}
-            for menu in dom.menus:
-                s = sum(1 << space.index(a) for a in menu if a != A0)
-                row = {a: max(flow[space.index(a), s], 0.0) for a in menu if a != A0}
-                if A0 in menu:
-                    row = {a: 0.9 * p for a, p in row.items()} | {A0: 0.1}
-                total = math.fsum(row.values())
-                table[menu] = {a: p / total for a, p in row.items()}
-            rho = StochasticChoice(space, table)
+            rho = pushed_flow_table(space, rng, 0.9, 0.1)
             report = check_ru_rational(rho, space)
             if report.passed:
                 low = bm_values(rho, AggregateSpace(space.atomic, ())).min()
@@ -317,7 +290,7 @@ class TestBlockMarschakFlow:
             " for _ in range(12)}\n"
             "mu = PreferenceDistribution({o: 1 / len(orders) for o in orders})\n"
             "rho = aru_evaluate(mu, ChoiceDomain.full(space))\n"
-            "report = check_partial_ru(rho, space, method='bm')\n"
+            "report = check_partial_ru(rho, space)\n"
             "print([(o.ranking, w.hex()) for o, w in report.certificate.items()])\n"
         )
         outputs = []
@@ -348,7 +321,7 @@ class TestBlockMarschakFlow:
                 (X, Y, "z"): {X: 0.1, Y: 0.5, "z": 0.4},
             },
         )
-        report = check_partial_ru(rho, space, method="bm")
+        report = check_partial_ru(rho, space)
         assert not report.passed
         assert report.certificate is None
         first = report.violations[0]
@@ -486,13 +459,13 @@ class TestCertificateReplay:
 
     def test_partial_lp_route_raises(self, three_space, lying_solver):
         with pytest.raises(VerificationBug):
-            check_partial_ru(self.uniform(three_space), three_space, method="lp")
+            _partial_ru_lp(self.uniform(three_space), three_space)
 
     def test_block_marschak_route_raises(self, three_space, monkeypatch):
         # Chains that put all mass on one order cannot give uniform data.
         monkeypatch.setattr(axioms, "_bm_flow_chains", lambda values: [((0, 1), 1.0)])
         with pytest.raises(VerificationBug, match="Block-Marschak certificate"):
-            check_partial_ru(self.uniform(three_space), three_space, method="bm")
+            check_partial_ru(self.uniform(three_space), three_space)
 
     def test_event_matrix_reaches_the_solver_as_bools(self, three_space, monkeypatch):
         seen = []

@@ -209,7 +209,7 @@ class TestApproxCaratheodory:
         for _ in range(15):
             rho = random_vertex_mixture(space, dom, rng, max_vertices=20)
             for k in (1, 2, 4, 10):
-                result = approx_caratheodory(rho, k, space, skip_check=True)
+                result = approx_caratheodory(rho, k, space)
                 assert result.achieved <= result.bound + 1e-12
                 assert result.bound == pytest.approx(1.0 / k)
                 assert result.certifies_ru_n == k + 1
@@ -219,7 +219,7 @@ class TestApproxCaratheodory:
         space = AggregateSpace(("y1", "y2", "y3"), (A0,))
         dom = ChoiceDomain.full(space)
         rho = random_vertex_mixture(space, dom, rng, max_vertices=20)
-        result = approx_caratheodory(rho, 10, space, skip_check=True)
+        result = approx_caratheodory(rho, 10, space)
         assert result.achieved <= 0.1 + 1e-12
 
     def test_uniform_weights(self, three_space, three_domain):

@@ -346,9 +346,10 @@ def test_partial_lp_cap():
     from aggchoice import DomainTooLarge, check_partial_ru
 
     space = AggregateSpace(tuple(f"i{k}" for k in range(8)), ())
+    # One of the 255 atomic menus: a partial domain takes the LP route.
     rho = StochasticChoice(space, {frozenset({"i0"}): {"i0": 1.0}})
     with pytest.raises(DomainTooLarge):
-        check_partial_ru(rho, space, method="lp")
+        check_partial_ru(rho, space)
 
 
 def test_aru_check_cap():

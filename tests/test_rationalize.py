@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggchoice import (
     AggregateSpace,
@@ -25,7 +27,7 @@ from aggchoice import (
 from aggchoice import linprog
 from aggchoice.rationalize import blocker_id, bottom_id, top_id
 from aggchoice.tolerances import AXIOM_TOL, LP_TOL, VERIFY_TOL, flow_tol, replay_tol
-from conftest import random_preferences, random_vertex_mixture
+from conftest import pushed_flow_table, random_preferences, random_vertex_mixture
 
 X, Y, A0, A1 = "x", "y", "a0", "a1"
 
@@ -331,6 +333,92 @@ class TestRationalize:
         assert report.passed and report.method == "lp"
         result = rationalize(rho, space)
         assert VERIFY_TOL < result.residual <= replay_tol(len(space.atomic))
+
+    @given(
+        space=st.sampled_from(
+            [
+                AggregateSpace((X, Y, "z"), (A0,)),
+                AggregateSpace((X, Y, "z"), (A0, A1)),
+                AggregateSpace((X, Y, "z", "w"), (A0,)),
+            ]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from((0.0, 1e-11, 3e-10, 3e-9)),
+        shift=st.floats(0.0, 1.0),
+        excess=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_passing_check_rationalizes_within_the_lp_bound(
+        self, space, seed, noise, shift, excess
+    ):
+        # Noisy vertex mixtures on domain-closed partial domains, as in
+        # test_succeeds_exactly_when_the_check_passes.  Each feasible LP
+        # point moves shift * 0.45 * LP_TOL of its mass onto one order and
+        # adds excess * 0.45 * LP_TOL there, so its rows drift within
+        # LP_TOL.  Whenever the check passes, the witness replays within
+        # the LP route's bound.
+        rng = np.random.default_rng(seed)
+        dom = ChoiceDomain.full(space)
+        atomic = [m for m in dom.menus if m <= space.atomic_set]
+        dropped = {atomic[i] for i in rng.choice(len(atomic), 2, False)}
+        kept = [m for m in dom.menus if m & space.atomic_set not in dropped]
+        dom = ChoiceDomain(space, tuple(kept))
+        rho = random_vertex_mixture(space, dom, rng)
+        table = {}
+        for menu in dom.menus:
+            row = {
+                a: max(rho.prob(menu, a) + noise * rng.standard_normal(), 0.0)
+                for a in space.sort(menu)
+            }
+            total = math.fsum(row.values())
+            table[menu] = {a: p / total for a, p in row.items()}
+        noisy = StochasticChoice(space, table)
+        solve = linprog.solve_feasibility
+
+        def drifting(a, b, tol):
+            result = solve(a, b, tol)
+            if not result.feasible:
+                return result
+            t, u = shift * 0.45 * tol, excess * 0.45 * tol
+            x = (1.0 - t) * result.x
+            x[seed % len(x)] += t + u
+            assert np.abs(a @ x - b).max() <= tol
+            return linprog.FeasibilityResult(True, x, result.residual)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linprog, "solve_feasibility", drifting)
+            report = check_ru_rational(noisy, space)
+            assert report.method == "lp"
+            if not report.passed:
+                with pytest.raises(AxiomViolated):
+                    rationalize(noisy, space)
+                return
+            result = rationalize(noisy, space)
+        assert result.residual <= replay_tol(len(space.atomic))
+
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        push=st.floats(0.5, 0.99),
+        outside_share=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_passing_check_rationalizes_within_the_flow_bound(
+        self, n, seed, push, outside_share
+    ):
+        # Full atomic domains whose Block-Marschak sums reach about
+        # -push * AXIOM_TOL.  Whenever the check passes, the witness
+        # replays within the flow route's bound.
+        space = AggregateSpace(tuple(f"i{k}" for k in range(n)), (A0,))
+        rho = pushed_flow_table(space, np.random.default_rng(seed), push, outside_share)
+        report = check_ru_rational(rho, space)
+        assert report.method == "bm"
+        if not report.passed:
+            with pytest.raises(AxiomViolated):
+                rationalize(rho, space)
+            return
+        result = rationalize(rho, space)
+        assert result.residual <= replay_tol(n, flow_tol(n))
 
     def test_full_atomic_domain_needs_no_lp(self, monkeypatch):
         calls = []

@@ -11,7 +11,6 @@ from aggchoice import (
     NotIdentified,
     PreferenceDistribution,
     StochasticChoice,
-    SweepConfig,
     bias,
     fit_aggregated_logit,
     forward_evaluate,
@@ -23,7 +22,6 @@ from aggchoice import (
 from aggchoice.simulation import (
     DEFAULT_UTILITIES,
     MARKET_MENUS,
-    UTILITY_SWEEP_TRIPLES,
     _bias_extremes,
     composition_from_triples,
     make_world,
@@ -201,11 +199,11 @@ class TestBias:
 
 class TestSweep:
     def test_lambda_sweep_row_count(self):
-        rows = sweep(SweepConfig(mode="lambda", measures="bias"))
+        rows = sweep("lambda", 0.1, "bias")
         assert len(rows) == 66  # 11 * 12 / 2 simplex grid at step 0.1
 
     def test_independent_cell_distance_zero(self):
-        rows = sweep(SweepConfig(mode="lambda", measures="distance"))
+        rows = sweep("lambda", 0.1, "distance")
         cell = next(
             r
             for r in rows
@@ -219,7 +217,7 @@ class TestSweep:
         # strip of cells remains ARU-rational; see the utility-sweep
         # diagonal test and the distance heatmap discussion.)
         space, corr, domain = make_world()
-        rows = sweep(SweepConfig(mode="lambda", measures="distance"))
+        rows = sweep("lambda", 0.1, "distance")
         base = composition_from_triples(
             {m: (0.8, 0.1, 0.1) for m in MARKET_MENUS}, domain
         )
@@ -250,29 +248,18 @@ class TestSweep:
         # With equal outside utilities the preferences are closer to
         # non-overlapping, so the diagonal has (weakly) smaller distance
         # than off-diagonal cells at the same grid radius.
-        config = SweepConfig(
-            mode="utility",
-            utility_low=-2.0,
-            utility_high=2.0,
-            utility_step=1.0,
-            measures="distance",
-            fixed_triples=UTILITY_SWEEP_TRIPLES,
-        )
-        rows = {tuple(v for _, v in r.point): r.squared_distance for r in sweep(config)}
+        rows = {
+            tuple(v for _, v in r.point): r.squared_distance
+            for r in sweep("utility", 1.0, "distance")
+        }
         for radius in (1.0, 2.0):
             diagonal = rows[(radius, radius)]
             off = rows[(radius, -radius)]
             assert diagonal <= off + 1e-12
 
     def test_row_count_matches_grid_product(self):
-        config = SweepConfig(
-            mode="utility",
-            utility_low=-1.0,
-            utility_high=1.0,
-            utility_step=1.0,
-            measures="bias",
-        )
-        assert len(sweep(config)) == 9
+        # u(z), u(w) in {-5, 0, 5}.
+        assert len(sweep("utility", 5.0, "bias")) == 9
 
 
 class TestMinMax:
@@ -329,7 +316,7 @@ class TestMinMax:
 
 class TestCoMovement:
     def test_bias_and_distance_rank_correlate(self):
-        rows = sweep(SweepConfig(mode="lambda"))
+        rows = sweep("lambda", 0.1, "both")
         biases = np.array([abs(r.bias) for r in rows])
         distances = np.array([r.squared_distance for r in rows])
 
