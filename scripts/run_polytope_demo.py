@@ -62,7 +62,7 @@ def main() -> None:
     rho = build_nesting_counterexample(nest_space)
     print(f"nesting dataset with {m} atomic aggregates:")
     print("  RU-rational:", check_ru_rational(rho, nest_space).passed)
-    oracle = grid_oracle_ru_n(rho, m, resolution=0.02)
+    oracle = grid_oracle_ru_n(rho, m)
     print(f"  composition size {m}: witness found = {oracle.found} "
           f"({oracle.candidates_checked} candidates searched)")
     witness = rationalize(rho, nest_space, variant="outside_option")

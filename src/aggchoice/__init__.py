@@ -32,6 +32,7 @@ from .errors import (
     DomainTooLarge,
     GroundMismatch,
     IncompleteDomain,
+    InvalidGridStep,
     InvalidProbability,
     InvalidTuple,
     ItemNotInMenu,
@@ -51,7 +52,6 @@ from .geometry import (
     SparseApproximation,
     approx_caratheodory,
     aru_distance,
-    aru_vertices,
     build_nesting_counterexample,
     grid_oracle_ru_n,
     ru_vertex_lmo,
@@ -72,7 +72,6 @@ from .model import (
     aru_evaluate,
     forward_evaluate,
     rum_prob,
-    rum_row,
     vertex_choice,
 )
 from .rationalize import (

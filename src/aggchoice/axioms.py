@@ -207,21 +207,15 @@ def _bm_flow_chains(values: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
             chains.append((tuple(k for k, _ in path), weight))
 
 
-def _bm_certificate(
-    values: np.ndarray, rho: StochasticChoice, menus: list[Menu], ground: tuple
+def _certified(
+    weights: dict, rho: StochasticChoice, menus: list[Menu], bound: float, what: str
 ) -> PreferenceDistribution:
-    """The flow's chains as a distribution, replayed against the data."""
-    chains = _bm_flow_chains(values)
-    total = math.fsum(w for _, w in chains)
-    certificate = PreferenceDistribution(
-        {LinearOrder(tuple(ground[k] for k in c)): w / total for c, w in chains}
-    )
-    replay = aru_evaluate(
-        certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
-    )
-    verify_replay(
-        replay.table, rho.table, flow_tol(len(ground)), "Block-Marschak certificate"
-    )
+    """`weights` as a distribution, replayed on the menus within `bound`."""
+    certificate = PreferenceDistribution(weights)
+    # The replay space holds exactly the ids the certificate ranks.
+    space = AggregateSpace(certificate.support[0].ranking, ())
+    replay = aru_evaluate(certificate, ChoiceDomain(space, tuple(menus)))
+    verify_replay(replay.table, rho.table, bound, what)
     return certificate
 
 
@@ -246,12 +240,8 @@ def _lp_rationalize(
         violation = Violation(kind, (), -result.residual, 0.0)
         return AxiomReport(passed=False, violations=(violation,), method="lp")
     orders = all_orders(ground)
-    certificate = PreferenceDistribution({orders[j]: w for j, w in support.items()})
-    # The replay space holds exactly the ids the certificate ranks.
-    replay = aru_evaluate(
-        certificate, ChoiceDomain(AggregateSpace(ground, ()), tuple(menus))
-    )
-    verify_replay(replay.table, rho.table, CERTIFICATE_TOL, "LP certificate")
+    weights = {orders[j]: w for j, w in support.items()}
+    certificate = _certified(weights, rho, menus, CERTIFICATE_TOL, "LP certificate")
     return AxiomReport(passed=True, certificate=certificate, method="lp")
 
 
@@ -298,8 +288,13 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
     if violations:
         violations.sort(key=lambda v: (space.menu_key(v.subject[0]), v.subject[1]))
         return AxiomReport(passed=False, violations=tuple(violations), method="bm")
-    # Without atomic ids there is no order to certify.
-    certificate = _bm_certificate(values, rho, menus, atoms) if atoms else None
+    if not atoms:  # without atomic ids there is no order to certify
+        return AxiomReport(passed=True, method="bm")
+    chains = _bm_flow_chains(values)
+    total = math.fsum(w for _, w in chains)
+    weights = {LinearOrder(tuple(atoms[k] for k in c)): w / total for c, w in chains}
+    bound = flow_tol(len(atoms))
+    certificate = _certified(weights, rho, menus, bound, "Block-Marschak certificate")
     return AxiomReport(passed=True, certificate=certificate, method="bm")
 
 

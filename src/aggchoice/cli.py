@@ -24,17 +24,19 @@ from .axioms import (
     check_ru_rational,
 )
 from .errors import AggChoiceError, AxiomViolated, NotRURational, VariantUnavailable
-from .geometry import (
-    approx_caratheodory,
-    aru_distance,
-    aru_vertices,
-    vertex_count_lower_bound,
-)
-from .model import ChoiceDomain, forward_evaluate
+from .geometry import approx_caratheodory, aru_distance, vertex_count_lower_bound
+from .model import ChoiceDomain, all_orders, forward_evaluate, order_winners
 from .rationalize import rationalize
 from .render import heatmap_svg
 from .serialize import Manifest, ManifestError
-from .simulation import MARKET_MENUS, MinMaxRow, minmax_bias, simulate_point, sweep
+from .simulation import (
+    MARKET_MENUS,
+    PINNED,
+    MinMaxRow,
+    minmax_bias,
+    simulate_point,
+    sweep,
+)
 
 # Unused here, but bench/tracing.py patches these names at this import site.
 from .simulation import fit_aggregated_logit, reduce_dataset  # noqa: F401
@@ -52,8 +54,7 @@ class CliError(Exception):
 def _write(text: str, output: str | None) -> None:
     """Write text to the output path, or to stdout when there is none."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.write_text(text, output)
     else:
         sys.stdout.write(text)
 
@@ -167,14 +168,24 @@ def _cmd_evaluate(args) -> int:
     ]
     if missing:
         raise CliError(f"manifest lacks {', '.join(missing)}", USAGE)
+    space = manifest.space
     if manifest.choice is not None:
         domain = manifest.choice.domain()
     else:
-        domain = ChoiceDomain.full(manifest.space)
+        # A model fitted to a partial domain has compositions only there.
+        composed = manifest.composition.per_menu
+        domain = ChoiceDomain(
+            space,
+            tuple(
+                m
+                for m in ChoiceDomain.full(space).menus
+                if m in composed or not m & space.non_atomic_set
+            ),
+        )
     rho = forward_evaluate(
         manifest.preferences, manifest.correspondence, manifest.composition, domain
     )
-    out = Manifest(space=manifest.space, choice=rho, metadata={"evaluated": True})
+    out = Manifest(space=space, choice=rho, metadata={"evaluated": True})
     _write(serialize.to_json(out), args.output)
     return PASS
 
@@ -248,15 +259,16 @@ def _cmd_vertices(args) -> int:
             if manifest.choice is not None
             else ChoiceDomain.full(space)
         )
+        winners = order_winners(space.members, domain.menus)
         payload["aru_vertices"] = [
             {
                 "ranking": list(order.ranking),
                 "table": [
-                    {"menu": list(space.sort(menu)), "chosen": order.best(menu)}
-                    for menu in domain.menus
+                    {"menu": list(space.sort(menu)), "chosen": space.members[k]}
+                    for menu, k in zip(domain.menus, picks)
                 ],
             }
-            for order, _ in aru_vertices(space, domain)
+            for order, picks in zip(all_orders(space.members), winners)
         ]
     _emit(payload, args.output)
     return PASS
@@ -291,7 +303,7 @@ def _cmd_simulate(args) -> int:
         "estimates": {a: float(v) for a, v in point.estimates.items()},
         "estimation": {
             "menu_weighting": "equal-per-menu",
-            "normalized": "a0",
+            "normalized": PINNED,
             "menus": [sorted(m) for m in MARKET_MENUS],
         },
         "bias": point.bias,

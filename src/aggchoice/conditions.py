@@ -304,21 +304,19 @@ def collapse_to_aru(
             "composition distribution is not menu-independent"
         )
 
+    ground = correspondence.ground
+    position = {x: i for i, x in enumerate(ground)}
+    ranks = prefs.ranks(ground)
     weights: dict[LinearOrder, float] = {}
     for profile, pw in joint.items():
-        realized = {}
-        for a in space.members:
-            if a in space.atomic_set:
-                realized[a] = frozenset({correspondence.sole(a)})
-            else:
-                realized[a] = profile.part(a)
-        for order, ow in prefs.items():
-            best_rank = {
-                a: min(order.rank(x) for x in realized[a]) for a in space.members
-            }
-            induced = LinearOrder(
-                tuple(sorted(space.members, key=best_rank.__getitem__))
-            )
+        realized = [correspondence.underlying(a) for a in space.atomic]
+        realized += [profile.part(a) for a in space.non_atomic]
+        # Row a holds each order's best rank among aggregate a's realized ids.
+        best_rank = np.array(
+            [ranks[[position[x] for x in ids]].min(axis=0) for ids in realized]
+        )
+        for column, ow in zip(best_rank.T, prefs.weights.values()):
+            induced = LinearOrder(tuple(space.members[k] for k in column.argsort()))
             weights[induced] = weights.get(induced, 0.0) + pw * ow
 
     collapsed = PreferenceDistribution(weights)

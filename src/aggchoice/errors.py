@@ -27,6 +27,10 @@ class InvalidTuple(AggChoiceError):
     """A composition tuple is inconsistent with the menu or correspondence."""
 
 
+class InvalidGridStep(AggChoiceError, ValueError):
+    """A grid step is not positive or does not divide its range."""
+
+
 class AggregateNotInMenu(AggChoiceError):
     """A menu-effect family routes a menu to an aggregate it does not contain."""
 

@@ -33,7 +33,7 @@ from .model import (
     MenuCollectionFamily,
     PreferenceDistribution,
     StochasticChoice,
-    all_orders,
+    all_orders,  # noqa: F401  (bench/tracing.py patches this import site)
     forward_evaluate,
     nth_order,
     order_events,
@@ -59,6 +59,9 @@ MAX_FW_ITERATIONS = 10_000
 #: will enumerate before refusing.
 GRID_BUDGET = 5_000_000
 
+#: Step of the grid oracle's composition weights.
+GRID_RESOLUTION = 0.02
+
 
 def _cell_vector(rho: StochasticChoice, cells: list[tuple[Menu, str]]) -> np.ndarray:
     return np.array([rho.prob(m, a) for m, a in cells])
@@ -72,17 +75,6 @@ def _cell_table(
     for (menu, a), p in zip(cells, vector):
         table.setdefault(menu, {})[a] = float(p)
     return StochasticChoice(space, table)
-
-
-def aru_vertices(
-    space: AggregateSpace, domain: ChoiceDomain
-) -> list[tuple[LinearOrder, StochasticChoice]]:
-    """All deterministic rational tables, one per order on the aggregates."""
-    empty = MenuCollectionFamily.empty()
-    return [
-        (order, vertex_choice(order, empty, domain))
-        for order in all_orders(space.members)
-    ]
 
 
 @dataclass(frozen=True)
@@ -241,15 +233,15 @@ def ru_vertex_lmo(
         best_deviation.append((value, target))
         follow = np.array([coeff(menu, a) for a in ground])
         total += np.minimum(follow[winners[:, j]], value)
-    order = nth_order(ground, int(np.argmin(total)))
+    index = int(np.argmin(total))
     deviations: dict[str, list[Menu]] = {}
-    for menu, (value, target) in zip(menus, best_deviation):
-        if value < coeff(menu, order.best(menu)):
+    for menu, pick, (value, target) in zip(menus, winners[index], best_deviation):
+        if value < coeff(menu, ground[pick]):
             deviations.setdefault(target, []).append(menu)
     family = MenuCollectionFamily(
         {a: frozenset(menus) for a, menus in deviations.items()}
     )
-    return order, family
+    return nth_order(ground, index), family
 
 
 @dataclass(frozen=True)
@@ -413,11 +405,7 @@ def _interior_grid(dim: int, steps: int) -> list[tuple[float, ...]]:
     return out
 
 
-def grid_oracle_ru_n(
-    rho: StochasticChoice,
-    n: int,
-    resolution: float = 0.02,
-) -> GridOracleResult:
+def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     """Search for a rationalization with |X(outside)| = n exactly.
 
     Evidence procedure, not a decision procedure: per-menu composition
@@ -426,7 +414,7 @@ def grid_oracle_ru_n(
     each candidate.  Cells that are 0, 1, or equal to their atomic-menu
     anchor admit an exact support-only reduction (the composition
     weights cancel from their equations), so such menus contribute only
-    one subset choice; remaining menus are gridded at `resolution`
+    one subset choice; remaining menus are gridded at GRID_RESOLUTION
     (small supports only, by the Caratheodory bound on mixture size).
     `found` returns a verified witness; `not_found` certifies only that
     no candidate in the searched family is feasible.
@@ -439,7 +427,7 @@ def grid_oracle_ru_n(
     if not 2 <= n <= 3:
         raise TooLarge("oracle supports composition sizes 2 and 3 only")
     (outside,) = space.non_atomic
-    steps = grid_steps(resolution, "resolution")
+    steps = grid_steps(GRID_RESOLUTION, "GRID_RESOLUTION")
 
     synthetic = tuple(f"{outside}#{i}" for i in range(n))
     ground = space.atomic + synthetic
@@ -612,7 +600,7 @@ def grid_oracle_ru_n(
         prefs,
         correspondence,
         composition,
-        metadata={"method": "grid-oracle", "n": n, "resolution": resolution},
+        metadata={"method": "grid-oracle", "n": n, "resolution": GRID_RESOLUTION},
         residual=residual,
     )
     return GridOracleResult(True, witness, checked)

@@ -375,6 +375,25 @@ def nth_order(ground: Sequence[str], index: int) -> LinearOrder:
     return LinearOrder(tuple(ground[k] for k in perms[index]))
 
 
+def _winners(ranks: np.ndarray, menus: Sequence[Iterable[int]]) -> np.ndarray:
+    """Best id of each menu under each order of a rank array.
+
+    ``ranks[x, i]`` is id x's position in order i.  Entry (j, i) is order
+    i's best id in the nonempty ``menus[j]``, in the dtype of `ranks`.
+    """
+    table = np.empty((len(menus), ranks.shape[1]), dtype=ranks.dtype)
+    for j, menu in enumerate(menus):
+        first, *rest = sorted(menu)
+        winner = table[j]
+        winner.fill(first)
+        best = ranks[first]
+        for x in rest:
+            rank = ranks[x]
+            winner[rank < best] = x
+            best = np.minimum(best, rank)
+    return table
+
+
 def order_winners(
     ground: Sequence[str], menus: Sequence[Iterable[str]]
 ) -> np.ndarray:
@@ -385,24 +404,15 @@ def order_winners(
     (n!, len(menus)), n! * len(menus) bytes, whose columns are contiguous.
     """
     _check_enumerable(ground)
-    perms, ranks = _permutation_table(len(ground))
+    _, ranks = _permutation_table(len(ground))
     position = {x: i for i, x in enumerate(ground)}
-    table = np.empty((len(menus), len(perms)), dtype=np.int8)
-    for j, menu in enumerate(menus):
-        try:
-            first, *rest = sorted(position[x] for x in menu)
-        except KeyError as err:
-            raise GroundMismatch(
-                f"menu id {err.args[0]!r} is not in the ground set"
-            ) from None
-        winner = table[j]
-        winner.fill(first)
-        best = ranks[first]
-        for x in rest:
-            rank = ranks[x]
-            winner[rank < best] = x
-            best = np.minimum(best, rank)
-    return table.T
+    try:
+        menus = [[position[x] for x in menu] for menu in menus]
+    except KeyError as err:
+        raise GroundMismatch(
+            f"menu id {err.args[0]!r} is not in the ground set"
+        ) from None
+    return _winners(ranks, menus).T
 
 
 def order_events(
@@ -449,6 +459,11 @@ class PreferenceDistribution:
     def items(self):
         return self.weights.items()
 
+    def ranks(self, ids: Sequence[str]) -> np.ndarray:
+        """Entry (x, i) is the position of ``ids[x]`` in the i-th support order."""
+        dtype = np.min_scalar_type(-len(self.ground))  # holds every position
+        return np.array([[o.rank(x) for o in self.weights] for x in ids], dtype=dtype)
+
     @staticmethod
     def degenerate(order: LinearOrder) -> "PreferenceDistribution":
         return PreferenceDistribution({order: 1.0})
@@ -477,18 +492,10 @@ def rum_prob(
         raise ItemNotInMenu(f"{item!r} is not in the menu")
     if not menu <= prefs.ground:
         raise GroundMismatch("menu contains ids outside the distribution's ground")
-    return math.fsum(w for order, w in prefs.items() if order.best(menu) == item)
-
-
-def rum_row(prefs: PreferenceDistribution, menu: Iterable[str]) -> dict[str, float]:
-    """Full probability vector of a menu under a preference distribution."""
-    menu = frozenset(menu)
-    if not menu <= prefs.ground:
-        raise GroundMismatch("menu contains ids outside the distribution's ground")
-    row = {a: 0.0 for a in menu}
-    for order, w in prefs.items():
-        row[order.best(menu)] += w
-    return row
+    ids = tuple(menu)
+    (winners,) = _winners(prefs.ranks(ids), [range(len(ids))])
+    weights = np.fromiter(prefs.weights.values(), float)
+    return math.fsum(weights[winners == ids.index(item)])
 
 
 @dataclass(frozen=True)
@@ -606,20 +613,24 @@ def forward_evaluate(
     composition distribution.
     """
     space = correspondence.space
-    ground_needed = set(correspondence.ground)
-    if not ground_needed <= set(prefs.ground):
+    ground = correspondence.ground
+    if not set(ground) <= set(prefs.ground):
         raise GroundMismatch(
             "preference distribution must rank every underlying alternative"
         )
+    position = {x: i for i, x in enumerate(ground)}
     owner = correspondence.owner_map()
+    labels = np.array([space.index(owner[x]) for x in ground])
+    ranks = prefs.ranks(ground)
+    weights = np.fromiter(prefs.weights.values(), float)
     table: dict[Menu, dict[str, float]] = {}
     for menu in domain.menus:
         tuples = _tuples_for_menu(menu, space, composition)
         atomic_part = [
-            correspondence.sole(a) for a in menu if a in space.atomic_set
+            position[correspondence.sole(a)] for a in menu if a in space.atomic_set
         ]
-        row = {a: 0.0 for a in menu}
-        for t, w in tuples.items():
+        realized_sets = []
+        for t in tuples:
             if t.aggregates != menu & space.non_atomic_set:
                 raise InvalidTuple(
                     f"tuple aggregates {sorted(t.aggregates)} do not match "
@@ -629,10 +640,14 @@ def forward_evaluate(
             for a, s in t.parts:
                 if not s <= set(correspondence.underlying(a)):
                     raise InvalidTuple(f"part for {a} is not a subset of X({a})")
-                realized.extend(s)
-            for order, v in prefs.items():
-                row[owner[order.best(realized)]] += w * v
-        table[menu] = row
+                realized.extend(position[x] for x in s)
+            realized_sets.append(realized)
+        # bincount adds in input order, tuple by tuple and then order by
+        # order: the float sequence of a loop over both.
+        picks = labels[_winners(ranks, realized_sets)].ravel()
+        products = np.outer(list(tuples.values()), weights).ravel()
+        mass = np.bincount(picks, products, len(space.members))
+        table[menu] = {a: float(mass[space.index(a)]) for a in menu}
     return StochasticChoice(space, table)
 
 
@@ -645,7 +660,13 @@ def aru_evaluate(
         raise GroundMismatch(
             "aggregate preference distribution must rank exactly the aggregates"
         )
-    table = {menu: rum_row(prefs_agg, menu) for menu in domain.menus}
+    menus = [[space.index(a) for a in menu] for menu in domain.menus]
+    winners = _winners(prefs_agg.ranks(space.members), menus)
+    weights = np.fromiter(prefs_agg.weights.values(), float)
+    table: dict[Menu, dict[str, float]] = {}
+    for menu, picks in zip(domain.menus, winners):
+        mass = np.bincount(picks, weights, len(space.members))
+        table[menu] = {a: float(mass[space.index(a)]) for a in menu}
     return StochasticChoice(space, table)
 
 

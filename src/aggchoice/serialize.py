@@ -10,7 +10,10 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 from .errors import AggChoiceError
@@ -176,6 +179,18 @@ def load(path: str) -> Manifest:
         return from_json(fh.read())
 
 
-def save(manifest: Manifest, path: str) -> None:
+def write_text(text: str, path: str) -> None:
+    """Write text to a file, unlinking a regular file already at the path.
+
+    Truncating and rewriting an existing file can wait on a filesystem
+    flush, which a new file does not.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(manifest))
+        fh.write(text)
+
+
+def save(manifest: Manifest, path: str) -> None:
+    write_text(to_json(manifest), path)

@@ -135,10 +135,12 @@ def _gradient_and_hessian(
     return np.array([grad[a] for a in params]), hess, params
 
 
-def fit_aggregated_logit(
-    rho: StochasticChoice, normalize: str = "a0"
-) -> dict[str, float]:
-    """Maximum-likelihood aggregated logit with one utility pinned to 0.
+#: The aggregate whose utility the aggregated-logit fit pins to 0.
+PINNED = "a0"
+
+
+def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
+    """Maximum-likelihood aggregated logit with PINNED's utility at 0.
 
     Maximizes the equally-menu-weighted log likelihood by damped Newton
     (concave objective; step halving up to 40 times per iteration).
@@ -147,10 +149,10 @@ def fit_aggregated_logit(
     `NoConvergence` if 200 iterations do not reach gradient norm
     GRADIENT_TOL.
     """
-    free = _check_identified(rho, normalize)
+    free = _check_identified(rho, PINNED)
     values = {a: 0.0 for a in free}
     if not free:
-        return {normalize: 0.0}
+        return {PINNED: 0.0}
 
     def objective(vals: dict[str, float]) -> float:
         ll = 0.0
@@ -170,7 +172,7 @@ def fit_aggregated_logit(
         grad_vec, hess, params = _gradient_and_hessian(rho, values)
         if np.abs(grad_vec).max() <= GRADIENT_TOL:
             out = {a: values[a] for a in free}
-            out[normalize] = 0.0
+            out[PINNED] = 0.0
             return out
         try:
             step = np.linalg.solve(-hess, grad_vec)
@@ -189,20 +191,14 @@ def fit_aggregated_logit(
     raise NoConvergence("Newton hit the iteration cap before the gradient tolerance")
 
 
-def bias(
-    estimated: UtilityMap,
-    true_utilities: UtilityMap,
-    first: str = "x",
-    second: str = "y",
-) -> float:
-    """Distortion of the estimated utility gap between two aggregates."""
+def bias(estimated: UtilityMap, true_utilities: UtilityMap) -> float:
+    """Distortion of the estimated utility gap between x and y."""
     for m, who in ((estimated, "estimated"), (true_utilities, "true")):
-        for key in (first, second):
+        for key in ("x", "y"):
             if key not in m:
                 raise MissingUtility(f"{who} utilities lack {key!r}")
-    return (estimated[first] - estimated[second]) - (
-        true_utilities[first] - true_utilities[second]
-    )
+    true_gap = true_utilities["x"] - true_utilities["y"]
+    return (estimated["x"] - estimated["y"]) - true_gap
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def simulate_point(
     estimates = bias_value = distance = None
     if measures in ("bias", "both"):
         markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
-        estimates = fit_aggregated_logit(markets, normalize="a0")
+        estimates = fit_aggregated_logit(markets)
         bias_value = bias(estimates, utilities)
     if measures in ("distance", "both"):
         distance = aru_distance(rho, space).squared_distance
@@ -348,7 +344,8 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     grid from UTILITY_LOW to UTILITY_HIGH at `step`, the markets at
     UTILITY_SWEEP_TRIPLES.  The other utilities are DEFAULT_UTILITIES.
     `measures` is "bias", "distance" or "both".  Rows come out in grid
-    order.
+    order.  A step that does not divide its range (1 for lambda mode)
+    raises `InvalidGridStep`.
     """
     if mode == "lambda":
         grid = [
@@ -360,7 +357,8 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
             for z, w, zw in simplex_grid(step)
         ]
     elif mode == "utility":
-        steps = round((UTILITY_HIGH - UTILITY_LOW) / step)
+        span = UTILITY_HIGH - UTILITY_LOW
+        steps = grid_steps(step / span, f"step / {span:g}")
         marks = [UTILITY_LOW + i * step for i in range(steps + 1)]
         grid = [
             (

@@ -16,6 +16,8 @@ The questions, in the order a dataset meets them:
 
 from __future__ import annotations
 
+from .errors import InvalidGridStep
+
 # -- Is an input a probability table? ---------------------------------------
 
 #: A probability table (a menu's row, a preference or a composition
@@ -142,12 +144,12 @@ STEP_TOL = 1e-9
 def grid_steps(step: float, name: str) -> int:
     """The number of grid steps of size `step` that make up 1.
 
-    Raises `ValueError` naming the parameter when no positive whole
-    number of steps is within STEP_TOL of 1.
+    Raises `InvalidGridStep`, a `ValueError`, naming the parameter when
+    no positive whole number of steps is within STEP_TOL of 1.
     """
-    steps = round(1.0 / step)
-    if abs(steps * step - 1.0) > STEP_TOL or steps < 1:
-        raise ValueError(f"{name} must divide 1")
+    steps = round(1.0 / step) if step > 0 else 0
+    if steps < 1 or abs(steps * step - 1.0) > STEP_TOL:
+        raise InvalidGridStep(f"{name} must divide 1")
     return steps
 
 

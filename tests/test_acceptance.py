@@ -241,7 +241,7 @@ def test_criterion_08_nesting_family():
         space = AggregateSpace(tuple(f"y{i}" for i in range(1, m + 1)), ("a0",))
         rho = build_nesting_counterexample(space)
         ok = ok and check_ru_rational(rho, space).passed
-        oracle = grid_oracle_ru_n(rho, m, resolution=0.02)
+        oracle = grid_oracle_ru_n(rho, m)
         ok = ok and not oracle.found
         result = rationalize(rho, space, variant="outside_option")
         ok = ok and result.residual <= 1e-9
@@ -265,8 +265,8 @@ def test_criterion_09_non_convexity_witness():
         ),
         domain,
     )
-    found1 = grid_oracle_ru_n(v1, 2, resolution=0.02).found
-    found2 = grid_oracle_ru_n(v2, 2, resolution=0.02).found
+    found1 = grid_oracle_ru_n(v1, 2).found
+    found2 = grid_oracle_ru_n(v2, 2).found
     mixture = StochasticChoice(
         space,
         {
@@ -274,7 +274,7 @@ def test_criterion_09_non_convexity_witness():
             for m in domain.menus
         },
     )
-    mid = grid_oracle_ru_n(mixture, 2, resolution=0.02)
+    mid = grid_oracle_ru_n(mixture, 2)
     verdict(
         9,
         found1 and found2 and not mid.found,
@@ -348,7 +348,7 @@ def test_criterion_12_mle_correctness():
     rho = StochasticChoice(
         space, {m: logit_choice(truth, sorted(m)) for m in domain.menus}
     )
-    estimates = fit_aggregated_logit(rho, normalize="a0")
+    estimates = fit_aggregated_logit(rho)
     recovery = max(abs(estimates[a] - truth[a]) for a in ("x", "y"))
     gradient = max(
         abs(

@@ -19,6 +19,7 @@ from aggchoice import (
 )
 from aggchoice.cli import main
 from aggchoice.serialize import Manifest, load, save
+from aggchoice.tolerances import replay_tol
 from conftest import random_preferences, random_vertex_mixture
 
 X, Y, A0 = "x", "y", "a0"
@@ -115,6 +116,29 @@ class TestRationalize:
         ) == 0
         replay = load(str(evaluated))
         assert replay.choice.max_cell_difference(rho) <= 1e-9
+
+    def test_partial_domain_model_evaluates(self, tmp_path):
+        # Dropping the atomic menu {x, z} with every mixed menu over it
+        # leaves mixed menus of the full domain without a composition.
+        space = AggregateSpace((X, Y, "z"), (A0,))
+        kept = [
+            m
+            for m in ChoiceDomain.full(space).menus
+            if m & space.atomic_set != frozenset({X, "z"})
+        ]
+        domain = ChoiceDomain(space, tuple(kept))
+        rho = random_vertex_mixture(space, domain, np.random.default_rng(6))
+        source, model, evaluated = (
+            str(tmp_path / name) for name in ("data.json", "model.json", "ev.json")
+        )
+        save(Manifest(space=space, choice=rho), source)
+        assert main(["rationalize", "--input", source, "--output", model]) == 0
+        assert main(["evaluate", "--input", model, "--output", evaluated]) == 0
+        replay = load(evaluated).choice
+        assert frozenset({X, "z"}) in replay.table
+        assert frozenset({X, "z", A0}) not in replay.table
+        observed = StochasticChoice(space, {m: replay.row(m) for m in domain.menus})
+        assert observed.max_cell_difference(rho) <= replay_tol(len(space.atomic))
 
     def test_axiom_failure_exits_one(self, lm_violation_path, capsys):
         assert main(["rationalize", "--input", lm_violation_path]) == 1
@@ -247,6 +271,24 @@ class TestSimulateAndSweep:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "utility", "--resolution", "0"],
+            ["--mode", "utility", "--resolution", "-1"],
+            ["--mode", "utility", "--resolution", "0.3"],
+            ["--mode", "utility", "--resolution", "nan"],
+            ["--mode", "lambda", "--grid", "0.3"],
+            ["--mode", "minmax", "--grid", "0.3"],
+            ["--mode", "minmax", "--resolution", "0"],
+        ],
+    )
+    def test_bad_grid_step_is_usage_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--output-csv", str(out)]) == 2
+        assert "must divide 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_csv_bytes(self, tmp_path):
         out = tmp_path / "lambda.csv"

@@ -286,13 +286,13 @@ class TestNestingCounterexample:
     def test_not_found_at_m(self, m):
         space = AggregateSpace(tuple(f"y{i}" for i in range(1, m + 1)), (A0,))
         rho = build_nesting_counterexample(space)
-        result = grid_oracle_ru_n(rho, m, resolution=0.02)
+        result = grid_oracle_ru_n(rho, m)
         assert not result.found
 
     def test_found_at_m_plus_one_for_m2(self):
         space = AggregateSpace(("y1", "y2"), (A0,))
         rho = build_nesting_counterexample(space)
-        result = grid_oracle_ru_n(rho, 3, resolution=0.02)
+        result = grid_oracle_ru_n(rho, 3)
         assert result.found
         assert result.witness.residual <= 1e-7
 
@@ -313,7 +313,7 @@ class TestGridOracle:
     def test_aru_data_found(self, three_space, three_domain):
         mu = random_preferences(three_space.members, np.random.default_rng(3))
         rho = aru_evaluate(mu, three_domain)
-        result = grid_oracle_ru_n(rho, 2, resolution=0.02)
+        result = grid_oracle_ru_n(rho, 2)
         assert result.found
         replay = forward_evaluate(
             result.witness.prefs,
@@ -325,8 +325,8 @@ class TestGridOracle:
 
     def test_menu_effect_vertices_found(self, three_space, three_domain):
         v1, v2 = self.footnote_vertices(three_space, three_domain)
-        assert grid_oracle_ru_n(v1, 2, resolution=0.02).found
-        assert grid_oracle_ru_n(v2, 2, resolution=0.02).found
+        assert grid_oracle_ru_n(v1, 2).found
+        assert grid_oracle_ru_n(v2, 2).found
 
     def test_footnote_mixture_not_found(self, three_space, three_domain):
         v1, v2 = self.footnote_vertices(three_space, three_domain)
@@ -338,11 +338,11 @@ class TestGridOracle:
             },
         )
         assert check_ru_rational(mix, three_space).passed
-        result = grid_oracle_ru_n(mix, 2, resolution=0.02)
+        result = grid_oracle_ru_n(mix, 2)
         assert not result.found
 
     def test_caps_enforced(self):
         space = AggregateSpace(("a", "b", "c", "d"), (A0,))
         rho = build_nesting_counterexample(space)
         with pytest.raises(TooLarge):
-            grid_oracle_ru_n(rho, 2, resolution=0.02)
+            grid_oracle_ru_n(rho, 2)

@@ -23,7 +23,6 @@ from aggchoice import (
     aru_evaluate,
     forward_evaluate,
     rum_prob,
-    rum_row,
     vertex_choice,
 )
 from conftest import random_composition, random_preferences
@@ -67,8 +66,9 @@ class TestRumProb:
     def test_row_sums_to_one(self):
         rng = np.random.default_rng(11)
         mu = random_preferences(("a", "b", "c", "d"), rng)
-        row = rum_row(mu, {"a", "c", "d"})
-        assert math.fsum(row.values()) == pytest.approx(1.0, abs=1e-12)
+        menu = {"a", "c", "d"}
+        total = math.fsum(rum_prob(mu, menu, a) for a in menu)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestValidation:

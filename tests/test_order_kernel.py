@@ -14,9 +14,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from aggchoice import (
     AggregateSpace,
+    AggregationCorrespondence,
     ChoiceDomain,
+    CompositionDistribution,
     DomainTooLarge,
     GroundMismatch,
     LinearOrder,
@@ -28,11 +33,23 @@ from aggchoice import (
     aru_evaluate,
     build_nesting_counterexample,
     check_aru_rational,
+    collapse_to_aru,
+    forward_evaluate,
     grid_oracle_ru_n,
     ru_vertex_lmo,
+    rum_prob,
+    unconditional_joint,
     vertex_choice,
 )
-from aggchoice.model import all_orders, nth_order, order_events, order_winners
+from aggchoice.model import (
+    EMPTY_TUPLE,
+    _winners,
+    all_orders,
+    nth_order,
+    order_events,
+    order_winners,
+)
+from conftest import random_composition, random_preferences
 
 SPACE5 = AggregateSpace(("x", "y", "z"), ("a0", "a1"))
 SPACE4 = AggregateSpace(("x", "y"), ("a0", "a1"))
@@ -234,7 +251,7 @@ class TestGolden:
 
     def test_grid_oracle_witness(self):
         space = AggregateSpace(("y1", "y2"), ("a0",))
-        result = grid_oracle_ru_n(build_nesting_counterexample(space), 3, resolution=0.02)
+        result = grid_oracle_ru_n(build_nesting_counterexample(space), 3)
         assert result.found
         assert result.candidates_checked == 7
         witness = result.witness
@@ -252,3 +269,134 @@ class TestGolden:
             ("a0", "y2"): [((("a0", menu("a0#2")),), 1.0)],
         }
         assert witness.residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Evaluation through the kernel against per-order reference loops
+# ---------------------------------------------------------------------------
+
+
+def reference_forward(prefs, correspondence, composition, domain):
+    """`forward_evaluate` as one `best` call per (menu, tuple, order)."""
+    space = correspondence.space
+    owner = correspondence.owner_map()
+    table = {}
+    for m in domain.menus:
+        atomic_part = [correspondence.sole(a) for a in m if a in space.atomic_set]
+        tuples = {EMPTY_TUPLE: 1.0}
+        if m & space.non_atomic_set:
+            tuples = composition.for_menu(m)
+        row = {a: 0.0 for a in m}
+        for t, w in tuples.items():
+            realized = atomic_part + [x for _, part in t.parts for x in part]
+            for order, v in prefs.items():
+                row[owner[order.best(realized)]] += w * v
+        table[m] = row
+    return StochasticChoice(space, table)
+
+
+def reference_aru(prefs, domain):
+    """`aru_evaluate` as one `best` call per (menu, order)."""
+    table = {}
+    for m in domain.menus:
+        row = {a: 0.0 for a in m}
+        for order, w in prefs.items():
+            row[order.best(m)] += w
+        table[m] = row
+    return StochasticChoice(domain.space, table)
+
+
+def reference_collapse(prefs, correspondence, joint):
+    """`collapse_to_aru`'s orders, from each order's `rank` of every id."""
+    space = correspondence.space
+    weights = {}
+    for profile, pw in joint.items():
+        realized = {a: {correspondence.sole(a)} for a in space.atomic}
+        realized.update((a, profile.part(a)) for a in space.non_atomic)
+        for order, ow in prefs.items():
+            best_rank = {a: min(map(order.rank, realized[a])) for a in space.members}
+            ranking = sorted(space.members, key=best_rank.__getitem__)
+            induced = LinearOrder(tuple(ranking))
+            weights[induced] = weights.get(induced, 0.0) + pw * ow
+    return PreferenceDistribution(weights)
+
+
+def table_hex(rho):
+    return [(sorted(m), a, p.hex()) for m, a, p in rho.cells()]
+
+
+def prefs_hex(prefs):
+    return [(o.ranking, w.hex()) for o, w in prefs.items()]
+
+
+def random_world(seed):
+    """A space of at most 6 ground ids, its correspondence, and a domain.
+
+    The domain keeps every singleton menu and about 70% of the others.
+    """
+    rng = np.random.default_rng(seed)
+    n_atomic = int(rng.integers(0, 4))
+    sizes = [2 + int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 3)))]
+    while n_atomic + sum(sizes) > 6:
+        sizes.pop()
+    non_atomic = tuple(f"a{k}" for k in range(len(sizes)))
+    space = AggregateSpace(tuple(f"y{k}" for k in range(n_atomic)), non_atomic)
+    images = {a: [f"{a}.{j}" for j in range(s)] for a, s in zip(non_atomic, sizes)}
+    correspondence = AggregationCorrespondence.identity_atomic(space, images)
+    domain = ChoiceDomain.full(space)
+    keep = [m for m in domain.menus if len(m) == 1 or rng.random() < 0.7]
+    return rng, space, correspondence, ChoiceDomain(space, tuple(keep))
+
+
+class TestEvaluationKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_winners_match_best_on_a_support(self, seed):
+        rng, space, correspondence, domain = random_world(seed)
+        ground = correspondence.ground
+        prefs = random_preferences(ground, rng, support=int(rng.integers(1, 9)))
+        menus = [
+            [k for k in range(len(ground)) if rng.random() < 0.5] or [0]
+            for _ in range(5)
+        ]
+        winners = _winners(prefs.ranks(ground), menus)
+        for j, ids in enumerate(menus):
+            for i, order in enumerate(prefs.support):
+                assert ground[winners[j, i]] == order.best([ground[k] for k in ids])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_evaluations_match_per_order_loops(self, seed):
+        rng, space, correspondence, domain = random_world(seed)
+        ground = correspondence.ground
+        prefs = random_preferences(ground, rng, support=int(rng.integers(1, 9)))
+        composition = random_composition(correspondence, domain, rng)
+        assert table_hex(
+            forward_evaluate(prefs, correspondence, composition, domain)
+        ) == table_hex(reference_forward(prefs, correspondence, composition, domain))
+
+        agg = random_preferences(space.members, rng, support=int(rng.integers(1, 9)))
+        assert table_hex(aru_evaluate(agg, domain)) == table_hex(
+            reference_aru(agg, domain)
+        )
+        for m in domain.menus:
+            for a in m:
+                expected = math.fsum(w for o, w in agg.items() if o.best(m) == a)
+                assert rum_prob(agg, m, a).hex() == expected.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_collapse_matches_the_rank_loop(self, seed):
+        rng, space, correspondence, domain = random_world(seed)
+        prefs = random_preferences(
+            correspondence.ground, rng, support=int(rng.integers(1, 9))
+        )
+        grand = frozenset(space.members)
+        joint = random_composition(
+            correspondence, ChoiceDomain(space, (grand,)), rng
+        ).for_menu(grand)
+        composition = CompositionDistribution.constant(domain.menus, space, joint)
+        joint = unconditional_joint(composition, correspondence, domain)
+        assert prefs_hex(
+            collapse_to_aru(prefs, correspondence, composition, domain)
+        ) == prefs_hex(reference_collapse(prefs, correspondence, joint))

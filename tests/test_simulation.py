@@ -82,7 +82,7 @@ class TestReduceDataset:
         markets = StochasticChoice(
             self.space, {m: rho.row(m) for m in MARKET_MENUS}
         )
-        estimates = fit_aggregated_logit(markets, normalize="a0")
+        estimates = fit_aggregated_logit(markets)
         assert bias(estimates, self.u) == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_forward_evaluation(self):
@@ -122,7 +122,7 @@ class TestFit:
             self.space,
             {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
         )
-        estimates = fit_aggregated_logit(rho, normalize="a0")
+        estimates = fit_aggregated_logit(rho)
         assert estimates["x"] == pytest.approx(2.0, abs=1e-6)
         assert estimates["y"] == pytest.approx(1.0, abs=1e-6)
         assert estimates["a0"] == 0.0
@@ -133,7 +133,7 @@ class TestFit:
             self.space,
             {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
         )
-        estimates = fit_aggregated_logit(rho, normalize="a0")
+        estimates = fit_aggregated_logit(rho)
         for a in ("x", "y"):
             grad = math.fsum(
                 rho.prob(m, a) - logit_choice(estimates, sorted(m))[a]
@@ -146,7 +146,7 @@ class TestFit:
         rho = StochasticChoice(
             self.space, {frozenset({"x", "a0"}): {"x": 0.5, "a0": 0.5}}
         )
-        estimates = fit_aggregated_logit(rho, normalize="a0")
+        estimates = fit_aggregated_logit(rho)
         assert abs(estimates["x"]) <= 1e-10
 
     def test_disconnected_graph_rejected(self):
@@ -159,7 +159,7 @@ class TestFit:
             },
         )
         with pytest.raises(NotIdentified):
-            fit_aggregated_logit(rho, normalize="a0")
+            fit_aggregated_logit(rho)
 
     def test_concavity_along_newton_path(self):
         # The per-menu Hessian blocks are negative semidefinite, so the

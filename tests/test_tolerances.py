@@ -81,7 +81,9 @@ def test_grid_steps(step, steps):
     assert grid_steps(step, "step") == steps
 
 
-@pytest.mark.parametrize("step", [0.3, 2.5, -0.5])
+@pytest.mark.parametrize(
+    "step", [0.3, 2.5, -0.5, 0.0, -1.0, float("nan"), float("inf")]
+)
 def test_grid_steps_rejects_steps_that_do_not_divide_one(step):
     with pytest.raises(ValueError, match="resolution must divide 1"):
         grid_steps(step, "resolution")
