@@ -67,16 +67,6 @@ class AxiomReport:
         if self.passed != (len(self.violations) == 0):
             raise ValueError("passed flag must match emptiness of violations")
 
-    @staticmethod
-    def merge(*reports: "AxiomReport") -> "AxiomReport":
-        violations = tuple(v for r in reports for v in r.violations)
-        certificate = next(
-            (r.certificate for r in reports if r.certificate is not None), None
-        )
-        return AxiomReport(
-            passed=not violations, violations=violations, certificate=certificate
-        )
-
 
 def _atomic_menus(rho: StochasticChoice, space: AggregateSpace) -> list[Menu]:
     return [m for m in rho.menus if m <= space.atomic_set]
@@ -299,14 +289,17 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
 
 
 def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
-    """Full characterization: limited monotonicity plus partial RU."""
+    """Full characterization: limited monotonicity plus partial RU.
+
+    The route and certificate are the partial check's.
+    """
     lm = check_limited_monotonicity(rho, space)
     partial = check_partial_ru(rho, space)
-    merged = AxiomReport.merge(lm, partial)
+    violations = lm.violations + partial.violations
     return AxiomReport(
-        passed=merged.passed,
-        violations=merged.violations,
-        certificate=merged.certificate,
+        passed=not violations,
+        violations=violations,
+        certificate=partial.certificate,
         method=partial.method,
     )
 

@@ -23,12 +23,12 @@ from .axioms import (
     check_partial_ru,
     check_ru_rational,
 )
-from .errors import AggChoiceError, AxiomViolated, NotRURational, VariantUnavailable
+from .errors import AggChoiceError, AxiomViolated, NotRURational
 from .geometry import approx_caratheodory, aru_distance, vertex_count_lower_bound
 from .model import ChoiceDomain, all_orders, forward_evaluate, order_winners
 from .rationalize import rationalize
 from .render import heatmap_svg
-from .serialize import Manifest, ManifestError
+from .serialize import Manifest
 from .simulation import (
     MARKET_MENUS,
     PINNED,
@@ -43,6 +43,10 @@ from .simulation import fit_aggregated_logit, reduce_dataset  # noqa: F401
 from .tolerances import PROB_TOL
 
 PASS, FAIL, USAGE = 0, 1, 2
+
+#: Largest `vertices --n` whose exact count, about 2^(2^n), still converts
+#: to a decimal string under Python's default limit of 4300 digits.
+MAX_VERTEX_N = 13
 
 
 class CliError(Exception):
@@ -70,8 +74,6 @@ def _load(path: str | None) -> Manifest:
         return serialize.load(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", USAGE) from None
-    except ManifestError as err:
-        raise CliError(str(err), USAGE) from err
 
 
 def _need_choice(manifest: Manifest):
@@ -133,8 +135,6 @@ def _cmd_rationalize(args) -> int:
     rho = _need_choice(manifest)
     try:
         result = rationalize(rho, manifest.space, variant=args.variant)
-    except VariantUnavailable as err:
-        raise CliError(str(err), USAGE) from err
     except AxiomViolated as err:
         payload = {"error": str(err)}
         if err.report is not None:
@@ -373,6 +373,22 @@ def _cmd_sweep(args) -> int:
     return PASS
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from `low` to `high` (no upper bound if None)."""
+    bounds = f"from {low} to {high}" if high is not None else f"of at least {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low and (high is None or value <= high):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer {bounds}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aggchoice",
@@ -411,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     car.add_argument("--input", required=True)
     car.add_argument("--output")
-    car.add_argument("--k", type=int, required=True)
+    car.add_argument("--k", type=_int_in(1), required=True)
     car.set_defaults(func=_cmd_caratheodory)
 
     vert = sub.add_parser("vertices", help="vertex counts and enumeration")
-    vert.add_argument("--n", type=int)
+    vert.add_argument("--n", type=_int_in(1, MAX_VERTEX_N))
     vert.add_argument("--input")
     vert.add_argument("--output")
     vert.set_defaults(func=_cmd_vertices)

@@ -1,17 +1,18 @@
 """Constructive rationalization of axiom-passing data.
 
-Given data that passes limited monotonicity and partial RU-rationality,
-builds an explicit witness (preference distribution over synthetic
-underlying alternatives, aggregation correspondence, per-menu
-composition distribution) whose forward evaluation reproduces the data.
+Given data that passes `check_ru_rational` (limited monotonicity and
+partial RU-rationality), extends its certificate to an explicit witness
+(preference distribution over synthetic underlying alternatives,
+aggregation correspondence, per-menu composition distribution) whose
+forward evaluation reproduces the data.
 
 Two constructions are available.  The `multi` variant works for any
 number of non-atomic aggregates and gives each one |atomic| + 2
 underlying alternatives: one "blocker" per atomic alternative placed
 immediately above it in every extended ranking, plus a top and a bottom
 element below all atomics.  The `outside_option` variant needs a single
-non-atomic aggregate and gets away with |atomic| + 1 alternatives
-(blockers plus a bottom element).
+non-atomic aggregate and at least one atomic one, and gets away with
+|atomic| + 1 alternatives (blockers plus a bottom element).
 
 Per menu, the composition distribution is built by a mass-splitting
 recursion: start all mass on the bottom tuple scaled by the largest
@@ -28,8 +29,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .axioms import AxiomReport, check_limited_monotonicity, check_partial_ru
-from .errors import AxiomViolated, GroundMismatch, VariantUnavailable
+from .axioms import check_ru_rational
+
+# Unused here, but bench/tracing.py patches these names at this import site.
+from .axioms import check_limited_monotonicity, check_partial_ru  # noqa: F401
+from .errors import (
+    AxiomViolated,
+    DomainClosureViolated,
+    GroundMismatch,
+    VariantUnavailable,
+)
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -40,7 +49,6 @@ from .model import (
     PreferenceDistribution,
     StochasticChoice,
     forward_evaluate,
-    rum_prob,
     verify_replay,
 )
 from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, PROB_TOL, flow_tol, replay_tol
@@ -73,6 +81,38 @@ class Rationalization:
     residual: float = 0.0
 
 
+def _check_variant(space: AggregateSpace, variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "outside_option" and (
+        len(space.non_atomic) != 1 or not space.atomic
+    ):
+        raise VariantUnavailable(
+            "outside_option construction needs exactly one non-atomic aggregate "
+            "and at least one atomic one"
+        )
+
+
+def _extend(
+    ranking: tuple[str, ...], space: AggregateSpace, variant: str
+) -> tuple[str, ...]:
+    """A ranking of atomic ids, lifted to the synthetic underlying set.
+
+    Each non-atomic aggregate's blocker for an atomic id sits immediately
+    above it (non-atomic aggregates in construction order), and the
+    top/bottom elements fill the tail.  Without non-atomic aggregates
+    this is the identity.
+    """
+    out: list[str] = []
+    for y in ranking:
+        out.extend(blocker_id(a, y) for a in space.non_atomic)
+        out.append(y)
+    if variant == "multi":
+        out.extend(top_id(a) for a in space.non_atomic)
+    out.extend(bottom_id(a) for a in space.non_atomic)
+    return tuple(out)
+
+
 def extend_preferences(
     atomic_prefs: PreferenceDistribution,
     space: AggregateSpace,
@@ -80,40 +120,19 @@ def extend_preferences(
 ) -> tuple[AggregationCorrespondence, PreferenceDistribution]:
     """Lift an atomic-level distribution to the synthetic underlying set.
 
-    Each support ranking over the atomic aggregates extends to a ranking
-    of all underlying alternatives: every atomic alternative keeps its
-    relative position, each non-atomic aggregate's blocker for it sits
-    immediately above it (non-atomic aggregates in construction order),
-    and the top/bottom elements fill the tail.  Weights carry over
-    unchanged, so restricting any extended ranking back to the atomic
-    ids recovers the original ranking.
+    Each support ranking over the atomic aggregates extends by `_extend`,
+    so every atomic alternative keeps its relative position.  Weights
+    carry over unchanged, so restricting any extended ranking back to the
+    atomic ids recovers the original ranking.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "outside_option" and len(space.non_atomic) != 1:
-        raise VariantUnavailable(
-            "outside_option construction needs exactly one non-atomic aggregate"
-        )
-    if not space.non_atomic:
-        raise VariantUnavailable("nothing to extend without non-atomic aggregates")
+    _check_variant(space, variant)
     if atomic_prefs.ground != space.atomic_set:
         raise GroundMismatch("atomic distribution must rank exactly the atomic ids")
-
-    correspondence = _synthetic_correspondence(space, variant)
-    tail: list[str] = []
-    if variant == "multi":
-        tail.extend(top_id(a) for a in space.non_atomic)
-    tail.extend(bottom_id(a) for a in space.non_atomic)
-
-    weights: dict[LinearOrder, float] = {}
-    for order, w in atomic_prefs.items():
-        ranking: list[str] = []
-        for y in order.ranking:
-            ranking.extend(blocker_id(a, y) for a in space.non_atomic)
-            ranking.append(y)
-        ranking.extend(tail)
-        weights[LinearOrder(tuple(ranking))] = w
-    return correspondence, PreferenceDistribution(weights)
+    weights = {
+        LinearOrder(_extend(order.ranking, space, variant)): w
+        for order, w in atomic_prefs.items()
+    }
+    return _synthetic_correspondence(space, variant), PreferenceDistribution(weights)
 
 
 def _synthetic_correspondence(
@@ -127,13 +146,6 @@ def _synthetic_correspondence(
         ids.append(bottom_id(a))
         images[a] = tuple(ids)
     return AggregationCorrespondence.identity_atomic(space, images)
-
-
-def _base_part(aggregate: str, variant: str) -> frozenset[str]:
-    """Seed of the mass-splitting chain for the deviating aggregate."""
-    if variant == "multi":
-        return frozenset({top_id(aggregate)})
-    return frozenset({bottom_id(aggregate)})
 
 
 def _chain_for_aggregate(
@@ -168,30 +180,29 @@ def _chain_for_aggregate(
             active.append(y)
 
     ratios = {y: min(targets[y] / anchors[y], 1.0) for y in active}
+    r0 = max(ratios.values(), default=0.0)
     out: dict[CompositionTuple, float] = {}
-    if not active:
-        r0 = 0.0
-    else:
-        top_ratio = max(ratios.values())
-        leader = next(y for y in space.sort(active) if ratios[y] == top_ratio)
-        r0 = top_ratio
+    if r0 > 0.0:
+        leader = next(y for y in space.sort(active) if ratios[y] == r0)
         rest = sorted(
             (y for y in active if y != leader),
             key=lambda y: (ratios[y], space.index(y)),
         )
-        part = _base_part(aggregate, variant)
-        if r0 > 0.0:
-            scaled = [ratios[y] / r0 for y in rest]
-            prev = 0.0
-            for y, c in zip(rest, scaled):
-                weight = (c - prev) * r0
-                if weight > 0.0:
-                    out[tup(part)] = out.get(tup(part), 0.0) + weight
-                part = part | {blocker_id(aggregate, y)}
-                prev = c
-            final = (1.0 - prev) * r0
-            if final > 0.0:
-                out[tup(part)] = out.get(tup(part), 0.0) + final
+        # Seed: the top element, or the bottom one for outside_option (no top).
+        part = frozenset(
+            {top_id(aggregate) if variant == "multi" else bottom_id(aggregate)}
+        )
+        prev = 0.0
+        for y in rest:
+            c = ratios[y] / r0
+            weight = (c - prev) * r0
+            if weight > 0.0:
+                out[tup(part)] = out.get(tup(part), 0.0) + weight
+            part = part | {blocker_id(aggregate, y)}
+            prev = c
+        final = (1.0 - prev) * r0
+        if final > 0.0:
+            out[tup(part)] = out.get(tup(part), 0.0) + final
 
     full_weight = 1.0 - r0
     if full_weight > 0.0:
@@ -210,11 +221,13 @@ def build_lambda_for_menu(
 ) -> dict[CompositionTuple, float]:
     """Composition distribution for one mixed menu.
 
-    `atomic_part` and `non_atomic_part` partition the menu.  Anchor
-    probabilities for the atomic alternatives default to the observed
-    atomic-menu row when that menu is in the data, and to the
-    probabilities implied by `prefs` otherwise; the construction is
-    exact whenever the anchors match the extension's atomic marginals.
+    `atomic_part` and `non_atomic_part` partition the menu.  The anchor
+    probabilities of the atomic alternatives are the observed
+    atomic-menu row, which must be in the data (domain closure, as
+    limited monotonicity requires); the construction is exact whenever
+    they match the atomic marginals of `prefs`.  Each non-atomic
+    aggregate's chain enters the mixture with its share of the mass the
+    aggregates take.
     """
     space = correspondence.space
     atoms = frozenset(atomic_part)
@@ -222,30 +235,16 @@ def build_lambda_for_menu(
     if not extras:
         raise ValueError("menu must contain a non-atomic aggregate")
     menu = atoms | frozenset(extras)
+    if not atoms and len(extras) == 1:
+        only = extras[0]
+        return {CompositionTuple.of({only: {bottom_id(only)}}): 1.0}
+    if atoms and atoms not in rho.table:
+        raise DomainClosureViolated(
+            f"menu {sorted(menu)} observed without its atomic part {sorted(atoms)}"
+        )
 
-    if not atoms:
-        if len(extras) == 1:
-            only = extras[0]
-            return {CompositionTuple.of({only: {bottom_id(only)}}): 1.0}
-        shares = {a: rho.prob(menu, a) for a in extras}
-        out: dict[CompositionTuple, float] = {}
-        for a in extras:
-            if shares[a] <= 0.0:
-                continue
-            others = tuple(b for b in extras if b != a)
-            chain = _chain_for_aggregate(
-                a, others, space, correspondence, {}, {}, variant
-            )
-            for t, w in chain.items():
-                out[t] = out.get(t, 0.0) + shares[a] * w
-        return out
-
-    if atoms in rho.table:
-        anchors = {y: rho.prob(atoms, y) for y in atoms}
-    else:
-        anchors = {y: rum_prob(prefs, atoms, y) for y in atoms}
+    anchors = {y: rho.prob(atoms, y) for y in atoms}
     targets = {y: rho.prob(menu, y) for y in atoms}
-
     residual = math.fsum(rho.prob(menu, a) for a in extras)
     if residual <= PROB_TOL:
         # Aggregates absorb nothing: every atomic equation holds with
@@ -253,7 +252,7 @@ def build_lambda_for_menu(
         parts = {a: {bottom_id(a)} for a in extras}
         return {CompositionTuple.of(parts): 1.0}
 
-    out = {}
+    out: dict[CompositionTuple, float] = {}
     for a in extras:
         share = rho.prob(menu, a) / residual
         if share <= 0.0:
@@ -272,45 +271,27 @@ def rationalize(
 ) -> Rationalization:
     """Construct and verify a witness for an RU-rational dataset.
 
-    Raises `AxiomViolated` with the failing report when the data does
-    not pass the characterization.  The witness extends the partial
-    check's certificate: the Block-Marschak flow on a full atomic
-    domain, the atomic LP's support otherwise.  It is replayed against
-    the data within the bound that certificate implies,
-    ``replay_tol(len(space.atomic), cell_tol)``; a failed replay after a
-    passing check is a library bug and raises `VerificationBug`.
+    The verdict is `check_ru_rational`'s: raises `AxiomViolated` with its
+    report when the data fails it.  The witness extends that report's
+    certificate, the Block-Marschak flow on a full atomic domain and the
+    atomic LP's support otherwise (without atomic ids there is nothing to
+    certify, and the witness is the extension of the empty ranking).  It
+    is replayed against the data within the bound that certificate
+    implies, ``replay_tol(len(space.atomic), cell_tol)``; a failed replay
+    after a passing check is a library bug and raises `VerificationBug`.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "outside_option" and (
-        len(space.non_atomic) != 1 or not space.atomic
-    ):
-        raise VariantUnavailable(
-            "outside_option construction needs exactly one non-atomic aggregate "
-            "and at least one atomic one"
-        )
-
-    lm = check_limited_monotonicity(rho, space)
-    cell_tol = CERTIFICATE_TOL
-    if space.atomic:
-        partial = check_partial_ru(rho, space)
-        if partial.method == "bm":
-            cell_tol = flow_tol(len(space.atomic))
-        report = AxiomReport.merge(lm, partial)
-        if not report.passed:
-            raise AxiomViolated("data is not RU-rational", report=report)
-        correspondence, prefs = extend_preferences(
-            partial.certificate, space, variant=variant
+    _check_variant(space, variant)
+    report = check_ru_rational(rho, space)
+    if not report.passed:
+        raise AxiomViolated("data is not RU-rational", report=report)
+    cell_tol = flow_tol(len(space.atomic)) if report.method == "bm" else CERTIFICATE_TOL
+    if report.certificate is None:
+        correspondence = _synthetic_correspondence(space, variant)
+        prefs = PreferenceDistribution.degenerate(
+            LinearOrder(_extend((), space, variant))
         )
     else:
-        # Menus of non-atomic aggregates only: both axioms are vacuous and
-        # any ranking of the synthetic alternatives supports the mixture.
-        if not lm.passed:
-            raise AxiomViolated("data is not RU-rational", report=lm)
-        correspondence = _synthetic_correspondence(space, variant)
-        tail = [top_id(a) for a in space.non_atomic] if variant == "multi" else []
-        tail.extend(bottom_id(a) for a in space.non_atomic)
-        prefs = PreferenceDistribution.degenerate(LinearOrder(tuple(tail)))
+        correspondence, prefs = extend_preferences(report.certificate, space, variant)
 
     per_menu: dict[Menu, dict[CompositionTuple, float]] = {}
     for menu in rho.menus:

@@ -19,7 +19,7 @@ from aggchoice import (
 )
 from aggchoice.cli import main
 from aggchoice.serialize import Manifest, load, save
-from aggchoice.tolerances import replay_tol
+from aggchoice.tolerances import flow_tol, replay_tol
 from conftest import random_preferences, random_vertex_mixture
 
 X, Y, A0 = "x", "y", "a0"
@@ -140,6 +140,29 @@ class TestRationalize:
         observed = StochasticChoice(space, {m: replay.row(m) for m in domain.menus})
         assert observed.max_cell_difference(rho) <= replay_tol(len(space.atomic))
 
+    def test_all_atomic_round_trips_through_evaluate(self, tmp_path):
+        # Without non-atomic aggregates the witness is the certificate.
+        space = AggregateSpace((X, Y, "z"), ())
+        mu = random_preferences(space.members, np.random.default_rng(7))
+        rho = aru_evaluate(mu, ChoiceDomain.full(space))
+        source, model, evaluated = (
+            str(tmp_path / name) for name in ("data.json", "model.json", "ev.json")
+        )
+        save(Manifest(space=space, choice=rho), source)
+        assert main(["rationalize", "--input", source, "--output", model]) == 0
+        assert load(model).composition.per_menu == {}
+        assert main(["evaluate", "--input", model, "--output", evaluated]) == 0
+        replay = load(evaluated).choice
+        assert replay.max_cell_difference(rho) <= replay_tol(3, flow_tol(3))
+
+    def test_failure_report_is_the_check_report(self, lm_violation_path, capsys):
+        assert main(["check", "--axiom", "ru", "--input", lm_violation_path]) == 1
+        check = json.loads(capsys.readouterr().out)
+        assert main(["rationalize", "--input", lm_violation_path]) == 1
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["method"] == check["method"] is not None
+        assert {"axiom": "ru", **report} == check
+
     def test_axiom_failure_exits_one(self, lm_violation_path, capsys):
         assert main(["rationalize", "--input", lm_violation_path]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -185,6 +208,21 @@ class TestVertices:
             720 * 2 ** (64 - 15 - 1)
         )
         assert payload["ratio_exceeds_2^2^(n-1)"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vertices", "--n", "0"],
+            ["vertices", "--n", "14"],
+            ["caratheodory", "--input", "unread.json", "--k", "0"],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        # Rejected at the parse, before any count is computed.
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_enumeration(self, vertex_path, capsys):
         assert main(["vertices", "--input", vertex_path]) == 0

@@ -10,6 +10,7 @@ from aggchoice import (
     AggregateSpace,
     AxiomViolated,
     ChoiceDomain,
+    DomainClosureViolated,
     GroundMismatch,
     LinearOrder,
     PreferenceDistribution,
@@ -93,6 +94,13 @@ class TestExtendPreferences:
         with pytest.raises(GroundMismatch):
             extend_preferences(delta("y0", "zzz"), space)
 
+    def test_identity_without_non_atomic_aggregates(self):
+        space = AggregateSpace(("y0", "y1", "y2"), ())
+        mu = random_preferences(space.atomic, np.random.default_rng(4))
+        corr, ext = extend_preferences(mu, space)
+        assert ext == mu
+        assert all(corr.underlying(y) == (y,) for y in space.atomic)
+
 
 class TestBuildLambda:
     def test_alternate_proof_initial_mass(self):
@@ -171,6 +179,19 @@ class TestBuildLambda:
             w for t, w in lam.items() if len(t.part("a0")) > 1
         )
         assert share_a0 == pytest.approx(0.7)
+
+    def test_unobserved_atomic_part_raises(self):
+        # Anchors come only from the observed atomic menu.
+        space = AggregateSpace(("y0", "y1"), ("a0",))
+        rho = StochasticChoice(
+            space,
+            {frozenset({"y0", "y1", "a0"}): {"y0": 0.3, "y1": 0.2, "a0": 0.5}},
+        )
+        corr, ext = extend_preferences(delta("y0", "y1"), space)
+        with pytest.raises(DomainClosureViolated):
+            build_lambda_for_menu(
+                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), ext, corr
+            )
 
     def test_monotonicity_violation_raises(self):
         space = AggregateSpace(("y0", "y1"), ("a0",))
@@ -259,11 +280,16 @@ class TestRationalize:
         # tolerance lands on both sides of it.  Full domains take the
         # Block-Marschak route.  Domain-closed partial domains drop some
         # atomic menus with every mixed menu over them, so the check and
-        # the construction both take the LP route.
+        # the construction both take the LP route.  Spaces without
+        # non-atomic ids, or without atomic ones, decide the same way.
         full_spaces = [
             AggregateSpace((X, Y), (A0,)),
             AggregateSpace((X, Y, "z"), (A0,)),
             AggregateSpace((X, Y), (A0, A1)),
+            AggregateSpace((X, Y, "z"), ()),
+            AggregateSpace((X, Y, "z", "w"), ()),
+            AggregateSpace((), (A0, A1)),
+            AggregateSpace((), (A0, A1, "a2")),
         ]
         partial_spaces = [
             AggregateSpace((X, Y, "z"), (A0,)),
