@@ -139,7 +139,8 @@ def _cmd_rationalize(args) -> int:
         payload = {"error": str(err)}
         if err.report is not None:
             payload["report"] = _encode_report(err.report, manifest.space)
-        _emit(payload, args.output)
+        # --output names the model; a failure leaves no model behind.
+        _emit(payload, None)
         return FAIL
     out = Manifest(
         space=manifest.space,

@@ -559,23 +559,24 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     assignment: dict[Menu, dict[frozenset[str], float]] = {}
 
     def dfs(level: int, rows: list) -> dict[int, float] | None:
+        """The support of the first feasible leaf below, from its own solve."""
         nonlocal checked
-        if level == len(plans):
-            return solve(rows)
         plan = plans[level]
         for lam, fixed_rows, mixture_rows in plan.candidates:
             checked += 1
             new_rows = rows + list(fixed_rows) + list(mixture_rows)
-            if solve(new_rows) is None:
+            result = solve(new_rows)
+            if result is None:
                 continue
             assignment[plan.menu] = lam
-            result = dfs(level + 1, new_rows)
+            if level + 1 < len(plans):
+                result = dfs(level + 1, new_rows)
             if result is not None:
                 return result
             del assignment[plan.menu]
         return None
 
-    support = dfs(0, base_rows)
+    support = dfs(0, base_rows) if plans else solve(base_rows)
     if support is None:
         return GridOracleResult(False, None, checked)
 

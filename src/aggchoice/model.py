@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -533,12 +533,6 @@ class CompositionTuple:
                 return s
         raise KeyError(aggregate)
 
-    def realized(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _, s in self.parts:
-            out |= s
-        return frozenset(out)
-
 
 EMPTY_TUPLE = CompositionTuple(())
 
@@ -585,17 +579,41 @@ class CompositionDistribution:
         return CompositionDistribution(per_menu)
 
 
-def _tuples_for_menu(
+def realizations(
     menu: Menu,
-    space: AggregateSpace,
+    correspondence: AggregationCorrespondence,
     composition: CompositionDistribution,
-) -> dict[CompositionTuple, float]:
+) -> Iterator[tuple[float, list[str]]]:
+    """Each composition tuple of a menu as its weight and realized ids.
+
+    The realized ids are the underlying ids of the menu's atomic
+    aggregates in construction order, then each tuple part sorted.  A
+    menu without non-atomic aggregates has the empty tuple only.  Raises
+    `MissingLambdaForMenu` when a menu with non-atomic aggregates has no
+    composition entry, and `InvalidTuple` when a tuple's aggregates are
+    not the menu's non-atomic ones or a part leaves its aggregate's image.
+    """
+    space = correspondence.space
     present = menu & space.non_atomic_set
     if not present:
-        return {EMPTY_TUPLE: 1.0}
-    if menu not in composition.per_menu:
+        tuples = {EMPTY_TUPLE: 1.0}
+    elif menu in composition.per_menu:
+        tuples = composition.per_menu[menu]
+    else:
         raise MissingLambdaForMenu(f"no composition entry for menu {sorted(menu)}")
-    return composition.per_menu[menu]
+    atoms = [correspondence.sole(a) for a in space.sort(menu & space.atomic_set)]
+    for t, w in tuples.items():
+        if t.aggregates != present:
+            raise InvalidTuple(
+                f"tuple aggregates {sorted(t.aggregates)} do not match "
+                f"menu {sorted(menu)}"
+            )
+        realized = list(atoms)
+        for a, s in t.parts:
+            if not s <= set(correspondence.underlying(a)):
+                raise InvalidTuple(f"part for {a} is not a subset of X({a})")
+            realized.extend(sorted(s))
+        yield w, realized
 
 
 def forward_evaluate(
@@ -625,27 +643,12 @@ def forward_evaluate(
     weights = np.fromiter(prefs.weights.values(), float)
     table: dict[Menu, dict[str, float]] = {}
     for menu in domain.menus:
-        tuples = _tuples_for_menu(menu, space, composition)
-        atomic_part = [
-            position[correspondence.sole(a)] for a in menu if a in space.atomic_set
-        ]
-        realized_sets = []
-        for t in tuples:
-            if t.aggregates != menu & space.non_atomic_set:
-                raise InvalidTuple(
-                    f"tuple aggregates {sorted(t.aggregates)} do not match "
-                    f"menu {sorted(menu)}"
-                )
-            realized = list(atomic_part)
-            for a, s in t.parts:
-                if not s <= set(correspondence.underlying(a)):
-                    raise InvalidTuple(f"part for {a} is not a subset of X({a})")
-                realized.extend(position[x] for x in s)
-            realized_sets.append(realized)
+        weighted = list(realizations(menu, correspondence, composition))
+        realized_sets = [[position[x] for x in ids] for _, ids in weighted]
         # bincount adds in input order, tuple by tuple and then order by
         # order: the float sequence of a loop over both.
         picks = labels[_winners(ranks, realized_sets)].ravel()
-        products = np.outer(list(tuples.values()), weights).ravel()
+        products = np.outer([w for w, _ in weighted], weights).ravel()
         mass = np.bincount(picks, products, len(space.members))
         table[menu] = {a: float(mass[space.index(a)]) for a in menu}
     return StochasticChoice(space, table)

@@ -215,7 +215,6 @@ def build_lambda_for_menu(
     rho: StochasticChoice,
     atomic_part: Menu,
     non_atomic_part: Menu,
-    prefs: PreferenceDistribution,
     correspondence: AggregationCorrespondence,
     variant: str = "multi",
 ) -> dict[CompositionTuple, float]:
@@ -225,9 +224,9 @@ def build_lambda_for_menu(
     probabilities of the atomic alternatives are the observed
     atomic-menu row, which must be in the data (domain closure, as
     limited monotonicity requires); the construction is exact whenever
-    they match the atomic marginals of `prefs`.  Each non-atomic
-    aggregate's chain enters the mixture with its share of the mass the
-    aggregates take.
+    they match the atomic marginals of the preferences it is paired
+    with.  Each non-atomic aggregate's chain enters the mixture with its
+    share of the mass the aggregates take.
     """
     space = correspondence.space
     atoms = frozenset(atomic_part)
@@ -300,7 +299,7 @@ def rationalize(
             continue
         atoms = menu & space.atomic_set
         per_menu[menu] = build_lambda_for_menu(
-            rho, atoms, extras, prefs, correspondence, variant=variant
+            rho, atoms, extras, correspondence, variant=variant
         )
     composition = CompositionDistribution(per_menu)
 

@@ -29,6 +29,7 @@ from .model import (
     CompositionTuple,
     Menu,
     StochasticChoice,
+    realizations,
 )
 from .tolerances import ASCENT_SLACK, GRADIENT_TOL, grid_steps
 
@@ -62,27 +63,16 @@ def reduce_dataset(
     Equivalent to forward-evaluating the logit preference distribution,
     but computed directly from the closed form: per composition tuple,
     the realized set's softmax mass is summed within each aggregate.
+    Tuples are checked as `forward_evaluate` checks them.
     """
     space = correspondence.space
+    owner = correspondence.owner_map()
     table: dict[Menu, dict[str, float]] = {}
     for menu in menus:
         menu = frozenset(menu)
-        atoms = [a for a in space.sort(menu) if a in space.atomic_set]
-        extras = menu & space.non_atomic_set
         row = {a: 0.0 for a in menu}
-        if extras:
-            tuples = composition.for_menu(menu)
-        else:
-            tuples = {CompositionTuple(()): 1.0}
-        for t, w in tuples.items():
-            realized = [correspondence.sole(a) for a in atoms]
-            owner = {correspondence.sole(a): a for a in atoms}
-            for a, s in t.parts:
-                for x in sorted(s):
-                    realized.append(x)
-                    owner[x] = a
-            probs = logit_choice(utilities, realized)
-            for x, p in probs.items():
+        for w, realized in realizations(menu, correspondence, composition):
+            for x, p in logit_choice(utilities, realized).items():
                 row[owner[x]] += w * p
         table[menu] = row
     return StochasticChoice(space, table)
@@ -110,29 +100,38 @@ def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
     return sorted(aggregates - {pinned})
 
 
-def _gradient_and_hessian(
-    rho: StochasticChoice, values: dict[str, float]
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Gradient and Hessian of the log likelihood over the sorted free params."""
+def _log_likelihood(
+    rho: StochasticChoice, values: Mapping[str, float]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log likelihood, gradient and Hessian over the sorted free params.
+
+    Utilities missing from `values` are 0.  One pass over the menus.
+    """
     params = sorted(values)
     index = {a: i for i, a in enumerate(params)}
-    grad = {a: 0.0 for a in params}
+    ll = 0.0
+    grad = np.zeros(len(params))
     hess = np.zeros((len(params), len(params)))
     for menu in rho.menus:
         items = sorted(menu)
         u = np.array([values.get(a, 0.0) for a in items])
         u = u - u.max()
         p = np.exp(u)
-        p /= p.sum()
-        for a, pa in zip(items, p):
+        total = p.sum()
+        logits = u - math.log(total)
+        p /= total
+        for a, lp, pa in zip(items, logits, p):
+            share = rho.prob(menu, a)
+            if share > 0.0:
+                ll += share * lp
             if a in index:
-                grad[a] += rho.prob(menu, a) - pa
+                grad[index[a]] += share - pa
         free = [i for i, a in enumerate(items) if a in index]
         for i in free:
             for j in free:
                 gi, gj = index[items[i]], index[items[j]]
                 hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
-    return np.array([grad[a] for a in params]), hess, params
+    return ll, grad, hess
 
 
 #: The aggregate whose utility the aggregated-logit fit pins to 0.
@@ -153,37 +152,21 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
     values = {a: 0.0 for a in free}
     if not free:
         return {PINNED: 0.0}
-
-    def objective(vals: dict[str, float]) -> float:
-        ll = 0.0
-        for menu in rho.menus:
-            items = sorted(menu)
-            u = np.array([vals.get(a, 0.0) for a in items])
-            u = u - u.max()
-            logits = u - math.log(np.exp(u).sum())
-            for a, lp in zip(items, logits):
-                share = rho.prob(menu, a)
-                if share > 0.0:
-                    ll += share * lp
-        return ll
-
-    current = objective(values)
+    current, grad, hess = _log_likelihood(rho, values)
     for _ in range(MAX_NEWTON_ITERATIONS):
-        grad_vec, hess, params = _gradient_and_hessian(rho, values)
-        if np.abs(grad_vec).max() <= GRADIENT_TOL:
-            out = {a: values[a] for a in free}
-            out[PINNED] = 0.0
-            return out
+        if np.abs(grad).max() <= GRADIENT_TOL:
+            return {**values, PINNED: 0.0}
         try:
-            step = np.linalg.solve(-hess, grad_vec)
+            step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(-hess, grad_vec, rcond=None)[0]
+            step = np.linalg.lstsq(-hess, grad, rcond=None)[0]
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
-            trial = {a: values[a] + scale * s for a, s in zip(params, step)}
-            improved = objective(trial)
-            if improved >= current - ASCENT_SLACK:
-                values, current = trial, improved
+            trial = {a: values[a] + scale * s for a, s in zip(free, step)}
+            evaluated = _log_likelihood(rho, trial)
+            if evaluated[0] >= current - ASCENT_SLACK:
+                values = trial
+                current, grad, hess = evaluated
                 break
             scale *= 0.5
         else:
@@ -398,8 +381,6 @@ def _market_vectors(utilities: Mapping[str, float]) -> dict[str, np.ndarray]:
     return {
         "xa0_x": shares(["x"], "x"),
         "ya0_y": shares(["y"], "y"),
-        "xya0_x": shares(["x", "y"], "x"),
-        "xya0_y": shares(["x", "y"], "y"),
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -162,6 +163,15 @@ class TestRationalize:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["method"] == check["method"] is not None
         assert {"axiom": "ru", **report} == check
+
+    def test_failure_leaves_no_model_file(self, tmp_path, lm_violation_path, capsys):
+        model = tmp_path / "model.json"
+        argv = ["rationalize", "--input", lm_violation_path, "--output", str(model)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is False
+        assert not model.exists()
+        assert main(["evaluate", "--input", str(model)]) == 2
+        assert "no such file" in capsys.readouterr().err
 
     def test_axiom_failure_exits_one(self, lm_violation_path, capsys):
         assert main(["rationalize", "--input", lm_violation_path]) == 1
@@ -356,6 +366,48 @@ class TestSimulateAndSweep:
             "0.5,0.5,3.04858735,-3.04858735,0,-0.396508293\n"
             "1,0,3.04858735,-3.04858735,0,-1.11022302e-15\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, csv_digest, svg_digest",
+        [
+            (
+                ["--mode", "lambda", "--grid", "0.25"],
+                "c6bcf1b78eb1df8089f7160a7f94d61d275df9ff02961e421fb5f0174960c62b",
+                "bd37ebc072fa1e7285204423848525ece3dae8883229584828b9d75bd9420d70",
+            ),
+            (
+                ["--mode", "utility", "--resolution", "2.5"],
+                "1e0e48f2c450ee39b5dc68ca6c318fcd8d210df0f91a094166a1130f88e90dbb",
+                "92d8de3fc0977fe4c12bae442da1e0b3f8aedcf4cdfd49c5315339945272059b",
+            ),
+            (
+                ["--mode", "minmax", "--grid", "0.25", "--resolution", "0.05"],
+                "439a6c7d7df6f550e87552ad7596591433ad0283537535bb44b68b6b2ad8d755",
+                "ab47c402f32b552d3bb1915e174a7914b624560cc7886ed5bf999a3d6329784c",
+            ),
+        ],
+    )
+    def test_sweep_golden_bytes(self, tmp_path, argv, csv_digest, svg_digest):
+        csv, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        argv = ["sweep", *argv, "--output-csv", str(csv), "--output-svg", str(svg)]
+        assert main(argv) == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "8214536529a7c754c34d52e489a097a072535a0c3e14a7dbacd66f130b7516a1"),
+            (
+                ["--lambda-x", "0,1,0"],
+                "47171e682ec143927dd9471a52d96eecad071d323945281ffa8768380275134f",
+            ),
+        ],
+    )
+    def test_simulate_golden_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "simulate.json"
+        assert main(["simulate", *argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_minmax_csv(self, tmp_path):
         out = tmp_path / "mm.csv"

@@ -270,6 +270,22 @@ class TestGolden:
         }
         assert witness.residual == 0.0
 
+    def test_grid_oracle_solves_each_node_once(self, monkeypatch):
+        # The leaf's support comes from its own solve, not a second one.
+        import aggchoice.linprog as linprog
+
+        solve_mixture = linprog.solve_mixture
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_mixture(*args)
+
+        monkeypatch.setattr(linprog, "solve_mixture", counting)
+        space = AggregateSpace(("y1", "y2"), ("a0",))
+        assert grid_oracle_ru_n(build_nesting_counterexample(space), 3).found
+        assert len(calls) == 4
+
 
 # ---------------------------------------------------------------------------
 # Evaluation through the kernel against per-order reference loops

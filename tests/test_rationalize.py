@@ -26,7 +26,7 @@ from aggchoice import (
     rationalize,
 )
 from aggchoice import linprog
-from aggchoice.rationalize import blocker_id, bottom_id, top_id
+from aggchoice.rationalize import blocker_id, bottom_id
 from aggchoice.tolerances import AXIOM_TOL, LP_TOL, VERIFY_TOL, flow_tol, replay_tol
 from conftest import pushed_flow_table, random_preferences, random_vertex_mixture
 
@@ -116,7 +116,7 @@ class TestBuildLambda:
                 frozenset({"y0", "y1", "a0"}): {"y0": 0.3, "y1": 0.2, "a0": 0.5},
             },
         )
-        corr, ext = extend_preferences(
+        corr, _ = extend_preferences(
             PreferenceDistribution(
                 {LinearOrder(("y0", "y1")): 0.5, LinearOrder(("y1", "y0")): 0.5}
             ),
@@ -127,7 +127,6 @@ class TestBuildLambda:
             rho,
             frozenset({"y0", "y1"}),
             frozenset({"a0"}),
-            ext,
             corr,
             variant="outside_option",
         )
@@ -146,14 +145,14 @@ class TestBuildLambda:
                 frozenset({"y0", "y1", "a0"}): {"y0": 0.5, "y1": 0.5, "a0": 0.0},
             },
         )
-        corr, ext = extend_preferences(
+        corr, _ = extend_preferences(
             PreferenceDistribution(
                 {LinearOrder(("y0", "y1")): 0.5, LinearOrder(("y1", "y0")): 0.5}
             ),
             space,
         )
         lam = build_lambda_for_menu(
-            rho, frozenset({"y0", "y1"}), frozenset({"a0"}), ext, corr
+            rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
         )
         assert lam == {
             next(iter(lam)): 1.0
@@ -170,10 +169,7 @@ class TestBuildLambda:
         from aggchoice.rationalize import _synthetic_correspondence
 
         corr = _synthetic_correspondence(space, "multi")
-        prefs = delta(top_id("a0"), top_id("a1"), bottom_id("a0"), bottom_id("a1"))
-        lam = build_lambda_for_menu(
-            rho, frozenset(), frozenset({"a0", "a1"}), prefs, corr
-        )
+        lam = build_lambda_for_menu(rho, frozenset(), frozenset({"a0", "a1"}), corr)
         assert math.fsum(lam.values()) == pytest.approx(1.0)
         share_a0 = math.fsum(
             w for t, w in lam.items() if len(t.part("a0")) > 1
@@ -187,10 +183,10 @@ class TestBuildLambda:
             space,
             {frozenset({"y0", "y1", "a0"}): {"y0": 0.3, "y1": 0.2, "a0": 0.5}},
         )
-        corr, ext = extend_preferences(delta("y0", "y1"), space)
+        corr, _ = extend_preferences(delta("y0", "y1"), space)
         with pytest.raises(DomainClosureViolated):
             build_lambda_for_menu(
-                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), ext, corr
+                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
             )
 
     def test_monotonicity_violation_raises(self):
@@ -202,7 +198,7 @@ class TestBuildLambda:
                 frozenset({"y0", "y1", "a0"}): {"y0": 0.7, "y1": 0.1, "a0": 0.2},
             },
         )
-        corr, ext = extend_preferences(
+        corr, _ = extend_preferences(
             PreferenceDistribution(
                 {LinearOrder(("y0", "y1")): 0.5, LinearOrder(("y1", "y0")): 0.5}
             ),
@@ -210,7 +206,7 @@ class TestBuildLambda:
         )
         with pytest.raises(AxiomViolated):
             build_lambda_for_menu(
-                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), ext, corr
+                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
             )
 
 

@@ -6,7 +6,11 @@ import pytest
 
 from aggchoice import (
     AggregateSpace,
+    CompositionDistribution,
+    CompositionTuple,
+    InvalidTuple,
     LinearOrder,
+    MissingLambdaForMenu,
     MissingUtility,
     NotIdentified,
     PreferenceDistribution,
@@ -111,6 +115,19 @@ class TestReduceDataset:
             forward = forward_evaluate(prefs, self.corr, lam, self.domain)
             assert direct.max_cell_difference(forward) <= 1e-10
 
+    def test_part_outside_its_image_raises(self):
+        # y is atomic, not one of the ids a0 stands for.
+        menu = frozenset({"x", "a0"})
+        wrong = CompositionTuple.of({"a0": {"y"}})
+        lam = CompositionDistribution({menu: {wrong: 1.0}})
+        with pytest.raises(InvalidTuple):
+            reduce_dataset(self.u, self.corr, lam, [menu])
+
+    def test_mixed_menu_without_composition_raises(self):
+        lam = CompositionDistribution({})
+        with pytest.raises(MissingLambdaForMenu):
+            reduce_dataset(self.u, self.corr, lam, [frozenset({"x", "a0"})])
+
 
 class TestFit:
     def setup_method(self):
@@ -170,11 +187,11 @@ class TestFit:
             self.space,
             {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
         )
-        from aggchoice.simulation import _gradient_and_hessian
+        from aggchoice.simulation import _log_likelihood
 
         for _ in range(10):
             point = {"x": float(rng.normal()), "y": float(rng.normal())}
-            _, hess, _ = _gradient_and_hessian(rho, point)
+            _, _, hess = _log_likelihood(rho, point)
             eigenvalues = np.linalg.eigvalsh(hess)
             assert (eigenvalues <= 1e-12).all()
 
