@@ -9,6 +9,7 @@ violation, an infeasible construction), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,12 +50,6 @@ PASS, FAIL, USAGE = 0, 1, 2
 MAX_VERTEX_N = 13
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _write(text: str, output: str | None) -> None:
     """Write text to the output path, or to stdout when there is none."""
     if output:
@@ -67,19 +62,29 @@ def _emit(payload: dict, output: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
 
 
-def _load(path: str | None) -> Manifest:
-    if not path:
-        raise CliError("--input is required for this command", USAGE)
+def _fail(payload: dict) -> int:
+    """Print why a command failed on stdout; --output is left untouched."""
+    _emit(payload, None)
+    return FAIL
+
+
+def _load(path: str) -> Manifest:
     try:
         return serialize.load(path)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}", USAGE) from None
+        raise AggChoiceError(f"no such file: {path}") from None
 
 
-def _need_choice(manifest: Manifest):
-    if manifest.choice is None:
-        raise CliError("manifest carries no stochastic choice table", USAGE)
-    return manifest.choice
+def _load_choice(path: str):
+    choice = _load(path).choice
+    if choice is None:
+        raise AggChoiceError("manifest carries no stochastic choice table")
+    return choice
+
+
+def _encode_orders(weights) -> list:
+    """A distribution over orders, as its ranking/weight pairs."""
+    return [{"ranking": list(o.ranking), "weight": w} for o, w in weights.items()]
 
 
 def _encode_report(report: AxiomReport, space) -> dict:
@@ -107,17 +112,13 @@ def _encode_report(report: AxiomReport, space) -> dict:
         ],
     }
     if report.certificate is not None:
-        payload["certificate"] = [
-            {"ranking": list(order.ranking), "weight": w}
-            for order, w in report.certificate.items()
-        ]
+        payload["certificate"] = _encode_orders(report.certificate)
     return payload
 
 
 def _cmd_check(args) -> int:
-    manifest = _load(args.input)
-    rho = _need_choice(manifest)
-    space = manifest.space
+    rho = _load_choice(args.input)
+    space = rho.space
     checks = {
         "lm": lambda: check_limited_monotonicity(rho, space),
         "partial": lambda: check_partial_ru(rho, space),
@@ -131,19 +132,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
-    manifest = _load(args.input)
-    rho = _need_choice(manifest)
+    rho = _load_choice(args.input)
     try:
-        result = rationalize(rho, manifest.space, variant=args.variant)
+        result = rationalize(rho, rho.space, variant=args.variant)
     except AxiomViolated as err:
         payload = {"error": str(err)}
         if err.report is not None:
-            payload["report"] = _encode_report(err.report, manifest.space)
-        # --output names the model; a failure leaves no model behind.
-        _emit(payload, None)
-        return FAIL
+            payload["report"] = _encode_report(err.report, rho.space)
+        return _fail(payload)
     out = Manifest(
-        space=manifest.space,
+        space=rho.space,
         correspondence=result.correspondence,
         preferences=result.prefs,
         composition=result.composition,
@@ -168,7 +166,7 @@ def _cmd_evaluate(args) -> int:
         if value is None
     ]
     if missing:
-        raise CliError(f"manifest lacks {', '.join(missing)}", USAGE)
+        raise AggChoiceError(f"manifest lacks {', '.join(missing)}")
     space = manifest.space
     if manifest.choice is not None:
         domain = manifest.choice.domain()
@@ -192,32 +190,26 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    manifest = _load(args.input)
-    rho = _need_choice(manifest)
-    result = aru_distance(rho, manifest.space)
+    rho = _load_choice(args.input)
+    result = aru_distance(rho, rho.space)
     payload = {
         "squared_distance": result.squared_distance,
         "duality_gap": result.duality_gap,
         "iterations": result.iterations,
         "hit_iteration_cap": result.hit_iteration_cap,
-        "mixture": [
-            {"ranking": list(order.ranking), "weight": w}
-            for order, w in result.mixture.items()
-            if w > 0.0
-        ],
+        # aru_distance keeps only positive weights.
+        "mixture": _encode_orders(result.mixture),
     }
     _emit(payload, args.output)
     return PASS
 
 
 def _cmd_caratheodory(args) -> int:
-    manifest = _load(args.input)
-    rho = _need_choice(manifest)
+    rho = _load_choice(args.input)
     try:
-        result = approx_caratheodory(rho, args.k, manifest.space)
+        result = approx_caratheodory(rho, args.k, rho.space)
     except NotRURational as err:
-        _emit({"error": str(err)}, args.output)
-        return FAIL
+        return _fail({"error": str(err)})
     payload = {
         "k": args.k,
         "achieved": result.achieved,
@@ -241,7 +233,7 @@ def _cmd_caratheodory(args) -> int:
 
 def _cmd_vertices(args) -> int:
     if args.n is None and not args.input:
-        raise CliError("provide --n and/or --input", USAGE)
+        raise AggChoiceError("provide --n and/or --input")
     payload: dict = {}
     if args.n is not None:
         count, ratio_bound = vertex_count_lower_bound(args.n)
@@ -254,7 +246,7 @@ def _cmd_vertices(args) -> int:
         manifest = _load(args.input)
         space = manifest.space
         if len(space.members) > 5:
-            raise CliError("vertex enumeration is capped at 5 aggregates", USAGE)
+            raise AggChoiceError("vertex enumeration is capped at 5 aggregates")
         domain = (
             manifest.choice.domain()
             if manifest.choice is not None
@@ -278,14 +270,14 @@ def _cmd_vertices(args) -> int:
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
-        raise CliError("composition triples need three comma-separated numbers", USAGE)
+        raise AggChoiceError("composition triples need three comma-separated numbers")
     # The rule a composition distribution applies to its total.
     if (
         not all(map(math.isfinite, parts))
         or min(parts) < 0
         or abs(math.fsum(parts) - 1.0) > PROB_TOL
     ):
-        raise CliError("composition triple must be a probability vector", USAGE)
+        raise AggChoiceError("composition triple must be a probability vector")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -390,44 +382,41 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aggchoice",
         description="Rationality tests and simulations for aggregated choice data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The manifest in, and where the result goes (stdout when absent).
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", required=True)
+    io.add_argument("--output")
 
-    check = sub.add_parser("check", help="run an axiom check on a dataset")
-    check.add_argument("--input", required=True)
-    check.add_argument("--output")
-    check.add_argument(
-        "--axiom", choices=("lm", "partial", "ru", "aru"), default="ru"
+    check = sub.add_parser(
+        "check", parents=[io], help="run an axiom check on a dataset"
     )
+    check.add_argument("--axiom", choices=("lm", "partial", "ru", "aru"), default="ru")
     check.set_defaults(func=_cmd_check)
 
-    rat = sub.add_parser("rationalize", help="construct a rationalizing model")
-    rat.add_argument("--input", required=True)
-    rat.add_argument("--output")
-    rat.add_argument(
-        "--variant", choices=("multi", "outside_option"), default="multi"
+    rat = sub.add_parser(
+        "rationalize", parents=[io], help="construct a rationalizing model"
     )
+    rat.add_argument("--variant", choices=("multi", "outside_option"), default="multi")
     rat.set_defaults(func=_cmd_rationalize)
 
-    ev = sub.add_parser("evaluate", help="forward-evaluate a model manifest")
-    ev.add_argument("--input", required=True)
-    ev.add_argument("--output")
+    ev = sub.add_parser(
+        "evaluate", parents=[io], help="forward-evaluate a model manifest"
+    )
     ev.set_defaults(func=_cmd_evaluate)
 
-    dist = sub.add_parser("distance", help="distance to the ARU polytope")
-    dist.add_argument("--input", required=True)
-    dist.add_argument("--output")
+    dist = sub.add_parser("distance", parents=[io], help="distance to the ARU polytope")
     dist.set_defaults(func=_cmd_distance)
 
     car = sub.add_parser(
-        "caratheodory", help="sparse uniform-mixture approximation"
+        "caratheodory", parents=[io], help="sparse uniform-mixture approximation"
     )
-    car.add_argument("--input", required=True)
-    car.add_argument("--output")
     car.add_argument("--k", type=_int_in(1), required=True)
     car.set_defaults(func=_cmd_caratheodory)
 
@@ -463,13 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except AggChoiceError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE

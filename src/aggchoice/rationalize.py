@@ -148,14 +148,18 @@ def _synthetic_correspondence(
     return AggregationCorrespondence.identity_atomic(space, images)
 
 
+def _top(correspondence: AggregationCorrespondence, aggregate: str) -> str | None:
+    """The top element of X(aggregate); only `multi` witnesses have one."""
+    top = top_id(aggregate)
+    return top if top in correspondence.underlying(aggregate) else None
+
+
 def _chain_for_aggregate(
     aggregate: str,
     others: tuple[str, ...],
-    space: AggregateSpace,
     correspondence: AggregationCorrespondence,
     targets: dict[str, float],
     anchors: dict[str, float],
-    variant: str,
 ) -> dict[CompositionTuple, float]:
     """One aggregate's composition chain matching all atomic targets.
 
@@ -163,6 +167,7 @@ def _chain_for_aggregate(
     alternative its target probability and routes all residual mass to
     `aggregate`.
     """
+    space = correspondence.space
     rest_parts = {b: frozenset({bottom_id(b)}) for b in others}
 
     def tup(part: frozenset[str]) -> CompositionTuple:
@@ -189,9 +194,7 @@ def _chain_for_aggregate(
             key=lambda y: (ratios[y], space.index(y)),
         )
         # Seed: the top element, or the bottom one for outside_option (no top).
-        part = frozenset(
-            {top_id(aggregate) if variant == "multi" else bottom_id(aggregate)}
-        )
+        part = frozenset({_top(correspondence, aggregate) or bottom_id(aggregate)})
         prev = 0.0
         for y in rest:
             c = ratios[y] / r0
@@ -212,15 +215,13 @@ def _chain_for_aggregate(
 
 
 def build_lambda_for_menu(
-    rho: StochasticChoice,
-    atomic_part: Menu,
-    non_atomic_part: Menu,
-    correspondence: AggregationCorrespondence,
-    variant: str = "multi",
+    rho: StochasticChoice, menu: Menu, correspondence: AggregationCorrespondence
 ) -> dict[CompositionTuple, float]:
     """Composition distribution for one mixed menu.
 
-    `atomic_part` and `non_atomic_part` partition the menu.  The anchor
+    The menu splits into its atomic and non-atomic parts by the
+    correspondence's space, and each chain starts from the top element
+    of X(a) when it has one, the bottom element otherwise.  The anchor
     probabilities of the atomic alternatives are the observed
     atomic-menu row, which must be in the data (domain closure, as
     limited monotonicity requires); the construction is exact whenever
@@ -229,11 +230,10 @@ def build_lambda_for_menu(
     share of the mass the aggregates take.
     """
     space = correspondence.space
-    atoms = frozenset(atomic_part)
-    extras = space.sort(non_atomic_part)
+    atoms = menu & space.atomic_set
+    extras = space.sort(menu & space.non_atomic_set)
     if not extras:
         raise ValueError("menu must contain a non-atomic aggregate")
-    menu = atoms | frozenset(extras)
     if not atoms and len(extras) == 1:
         only = extras[0]
         return {CompositionTuple.of({only: {bottom_id(only)}}): 1.0}
@@ -257,9 +257,7 @@ def build_lambda_for_menu(
         if share <= 0.0:
             continue
         others = tuple(b for b in extras if b != a)
-        chain = _chain_for_aggregate(
-            a, others, space, correspondence, targets, anchors, variant
-        )
+        chain = _chain_for_aggregate(a, others, correspondence, targets, anchors)
         for t, w in chain.items():
             out[t] = out.get(t, 0.0) + share * w
     return out
@@ -292,16 +290,13 @@ def rationalize(
     else:
         correspondence, prefs = extend_preferences(report.certificate, space, variant)
 
-    per_menu: dict[Menu, dict[CompositionTuple, float]] = {}
-    for menu in rho.menus:
-        extras = menu & space.non_atomic_set
-        if not extras:
-            continue
-        atoms = menu & space.atomic_set
-        per_menu[menu] = build_lambda_for_menu(
-            rho, atoms, extras, correspondence, variant=variant
-        )
-    composition = CompositionDistribution(per_menu)
+    composition = CompositionDistribution(
+        {
+            menu: build_lambda_for_menu(rho, menu, correspondence)
+            for menu in rho.menus
+            if menu & space.non_atomic_set
+        }
+    )
 
     produced = forward_evaluate(prefs, correspondence, composition, rho.domain())
     # Each witness cell combines the certificate's atomic cells.
@@ -318,7 +313,7 @@ def rationalize(
         "special_ids": {
             a: {
                 "blockers": {y: blocker_id(a, y) for y in space.atomic},
-                "top": top_id(a) if variant == "multi" else None,
+                "top": _top(correspondence, a),
                 "bottom": bottom_id(a),
             }
             for a in space.non_atomic

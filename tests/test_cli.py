@@ -24,6 +24,7 @@ from aggchoice.tolerances import flow_tol, replay_tol
 from conftest import random_preferences, random_vertex_mixture
 
 X, Y, A0 = "x", "y", "a0"
+SRC = str(pathlib.Path(aggchoice.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -78,8 +79,10 @@ class TestCheck:
         assert violation["kind"] == "limited-monotonicity"
         assert violation["subject"] == [["x", "y"], ["x", "y", "a0"], "x"]
 
-    def test_missing_file_is_usage_error(self, tmp_path):
-        assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert main(["check", "--input", missing]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
     def test_malformed_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -209,6 +212,45 @@ class TestDistanceAndCaratheodory:
     def test_caratheodory_rejects_non_ru(self, lm_violation_path):
         assert main(["caratheodory", "--input", lm_violation_path, "--k", "2"]) == 1
 
+    def test_caratheodory_failure_leaves_output_untouched(
+        self, tmp_path, lm_violation_path, capsys
+    ):
+        # As for rationalize: the payload goes to stdout, --output is not written.
+        existing, absent = tmp_path / "existing.json", tmp_path / "absent.json"
+        existing.write_bytes(b"earlier result\n")
+        for target in (existing, absent):
+            argv = ["caratheodory", "--input", lm_violation_path, "--k", "2"]
+            assert main(argv + ["--output", str(target)]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload == {"error": "sparse approximation needs RU-rational data"}
+        assert existing.read_bytes() == b"earlier result\n"
+        assert not absent.exists()
+
+
+class TestParser:
+    def test_back_to_back_calls_match_single_calls(self, vertex_path, capsys):
+        # The parser is built once per process; no state may carry over.
+        commands = [
+            ["check", "--input", vertex_path, "--axiom", "aru"],
+            ["vertices", "--n", "3"],
+            ["caratheodory", "--input", vertex_path, "--k", "2"],
+            ["check", "--input", vertex_path],
+            ["distance", "--input", "missing.json"],
+        ]
+        for argv in commands:
+            code, out = main(argv), capsys.readouterr()
+            single = subprocess.run(
+                [sys.executable, "-m", "aggchoice.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            assert (code, out.out, out.err) == (
+                single.returncode,
+                single.stdout,
+                single.stderr,
+            )
+
 
 class TestVertices:
     def test_count_for_n6(self, capsys):
@@ -307,11 +349,10 @@ class TestSimulateAndSweep:
         assert f"{measure} (lambda sweep)" in svg.read_text()
 
     def test_utility_csv_independent_of_hash_seed(self, tmp_path):
-        src = str(pathlib.Path(aggchoice.__file__).resolve().parent.parent)
         outputs = []
         for seed in ("0", "1"):
             out = tmp_path / f"utility-{seed}.csv"
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
             argv = ["sweep", "--mode", "utility", "--resolution", "2.5"]
             argv += ["--output-csv", str(out)]
             subprocess.run(

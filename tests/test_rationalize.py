@@ -10,6 +10,7 @@ from aggchoice import (
     AggregateSpace,
     AxiomViolated,
     ChoiceDomain,
+    CompositionDistribution,
     DomainClosureViolated,
     GroundMismatch,
     LinearOrder,
@@ -123,18 +124,38 @@ class TestBuildLambda:
             space,
             variant="outside_option",
         )
-        lam = build_lambda_for_menu(
-            rho,
-            frozenset({"y0", "y1"}),
-            frozenset({"a0"}),
-            corr,
-            variant="outside_option",
-        )
+        lam = build_lambda_for_menu(rho, frozenset({"y0", "y1", "a0"}), corr)
         by_parts = {t.part("a0"): w for t, w in lam.items()}
         assert by_parts[frozenset({bottom_id("a0")})] == pytest.approx(0.4)
         assert by_parts[frozenset(corr.underlying("a0"))] == pytest.approx(0.4)
         middle = frozenset({bottom_id("a0"), blocker_id("a0", "y1")})
         assert by_parts[middle] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("variant", ["multi", "outside_option"])
+    def test_tuples_stay_in_the_image_and_replay(self, variant):
+        # The chain's seed comes from X(a0): an outside_option image has
+        # no top element, so no tuple may name one.
+        space = AggregateSpace(("y0", "y1"), ("a0",))
+        rho = StochasticChoice(
+            space,
+            {
+                frozenset({"y0"}): {"y0": 1.0},
+                frozenset({"y1"}): {"y1": 1.0},
+                frozenset({"y0", "y1"}): {"y0": 0.5, "y1": 0.5},
+                frozenset({"y0", "y1", "a0"}): {"y0": 0.3, "y1": 0.2, "a0": 0.5},
+            },
+        )
+        prefs = PreferenceDistribution(
+            {LinearOrder(("y0", "y1")): 0.5, LinearOrder(("y1", "y0")): 0.5}
+        )
+        corr, ext = extend_preferences(prefs, space, variant=variant)
+        menu = frozenset({"y0", "y1", "a0"})
+        lam = build_lambda_for_menu(rho, menu, corr)
+        assert all(t.part("a0") <= set(corr.underlying("a0")) for t in lam)
+        replay = forward_evaluate(
+            ext, corr, CompositionDistribution({menu: lam}), rho.domain()
+        )
+        assert replay.max_cell_difference(rho) <= 1e-12
 
     def test_equal_rows_concentrate_on_bottom(self):
         space = AggregateSpace(("y0", "y1"), ("a0",))
@@ -151,9 +172,7 @@ class TestBuildLambda:
             ),
             space,
         )
-        lam = build_lambda_for_menu(
-            rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
-        )
+        lam = build_lambda_for_menu(rho, frozenset({"y0", "y1", "a0"}), corr)
         assert lam == {
             next(iter(lam)): 1.0
         } and next(iter(lam)).part("a0") == frozenset({bottom_id("a0")})
@@ -169,7 +188,7 @@ class TestBuildLambda:
         from aggchoice.rationalize import _synthetic_correspondence
 
         corr = _synthetic_correspondence(space, "multi")
-        lam = build_lambda_for_menu(rho, frozenset(), frozenset({"a0", "a1"}), corr)
+        lam = build_lambda_for_menu(rho, frozenset({"a0", "a1"}), corr)
         assert math.fsum(lam.values()) == pytest.approx(1.0)
         share_a0 = math.fsum(
             w for t, w in lam.items() if len(t.part("a0")) > 1
@@ -185,9 +204,7 @@ class TestBuildLambda:
         )
         corr, _ = extend_preferences(delta("y0", "y1"), space)
         with pytest.raises(DomainClosureViolated):
-            build_lambda_for_menu(
-                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
-            )
+            build_lambda_for_menu(rho, frozenset({"y0", "y1", "a0"}), corr)
 
     def test_monotonicity_violation_raises(self):
         space = AggregateSpace(("y0", "y1"), ("a0",))
@@ -205,9 +222,7 @@ class TestBuildLambda:
             space,
         )
         with pytest.raises(AxiomViolated):
-            build_lambda_for_menu(
-                rho, frozenset({"y0", "y1"}), frozenset({"a0"}), corr
-            )
+            build_lambda_for_menu(rho, frozenset({"y0", "y1", "a0"}), corr)
 
 
 class TestRationalize:
