@@ -268,7 +268,10 @@ def _cmd_vertices(args) -> int:
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise AggChoiceError("composition triples need three comma-separated numbers")
     # The rule a composition distribution applies to its total.

@@ -2,9 +2,11 @@
 
 The ARU polytope is the convex hull of the deterministic tables induced
 by linear orders on the aggregates; the RU polytope is the much larger
-hull of menu-effect vertices.  This module computes Euclidean distance
-to the ARU polytope (fully corrective Frank-Wolfe over enumerated
-vertices), provides the linear minimization oracle over RU vertices,
+hull of menu-effect vertices.  Both linear minimization oracles are
+shortest paths on the subset lattice of the aggregates, so no order is
+enumerated.  This module computes Euclidean distance to the ARU
+polytope (fully corrective Frank-Wolfe with Wolfe's minor cycles),
+provides the linear minimization oracle over RU vertices,
 sparsifies RU-rational data into uniform mixtures of few vertices, and
 builds the explicit datasets witnessing the strictness of the
 fixed-composition-size nesting.
@@ -12,6 +14,7 @@ fixed-composition-size nesting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +39,6 @@ from .model import (
     all_orders,  # noqa: F401  (bench/tracing.py patches this import site)
     forward_evaluate,
     nth_order,
-    order_events,
     order_winners,
     verify_replay,
     vertex_choice,
@@ -45,10 +47,12 @@ from .rationalize import Rationalization
 from .tolerances import (
     ACTIVE_SET_FLOOR,
     ACTIVE_SET_TOL,
+    AFFINE_TOL,
     ANCHOR_TOL,
     GAP_TOL,
     GRID_REPLAY_TOL,
     GRID_TOL,
+    ORDER_TIE_TOL,
     PROB_TOL,
     grid_steps,
 )
@@ -78,119 +82,341 @@ def _cell_table(
 
 
 @dataclass(frozen=True)
+class _Lattice:
+    """The edges of the subset lattice on n ids, for shortest paths.
+
+    A path from the empty set to the full one places one id per edge,
+    best first, so it is an order.  Level L holds every set U of L ids,
+    in ascending bitmask order, with one edge (U, k) per id k outside U,
+    in ascending k.  Edge (U, k) collects the cells (A, k), written
+    k * 2^n + the bitmask of A, over every A inside the complement of U
+    that holds k: the menus whose best id the edge places.
+    """
+
+    n: int
+    gather: np.ndarray  # every edge's cells, edge by edge, level by level
+    starts: np.ndarray  # where each edge's cells begin in `gather`
+    # Per level: its edges' slice of the edge costs, and for each of its
+    # (sets, free ids) the row of U | {k} within the next level.
+    levels: tuple[tuple[int, int, np.ndarray], ...]
+    rows: tuple[int, ...]  # per set: its row within its level
+    free: tuple[tuple[int, ...], ...]  # per set: the ids outside it, ascending
+
+
+@functools.cache
+def _lattice(n: int) -> _Lattice:
+    """The subset lattice on n ids: n * 2^(n - 1) edges, 1024 at n = 8.
+
+    Built on first use and cached per n, like `model._permutation_table`.
+    """
+    by_level: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_level[bin(mask).count("1")].append(mask)
+    rows = [0] * (1 << n)
+    free = [tuple(k for k in range(n) if not mask >> k & 1) for mask in range(1 << n)]
+    for sets in by_level:
+        for row, mask in enumerate(sets):
+            rows[mask] = row
+    gather: list[int] = []
+    starts: list[int] = []
+    levels = []
+    full = (1 << n) - 1
+    for sets in by_level[:n]:
+        lo, after = len(starts), []
+        for placed in sets:
+            for k in free[placed]:
+                starts.append(len(gather))
+                rest = full ^ placed ^ (1 << k)
+                subset = rest
+                while True:
+                    gather.append(k << n | subset | 1 << k)
+                    if not subset:
+                        break
+                    subset = (subset - 1) & rest
+            after.append([rows[placed | 1 << k] for k in free[placed]])
+        levels.append((lo, len(starts), np.array(after)))
+    return _Lattice(
+        n, np.array(gather), np.array(starts), tuple(levels), tuple(rows), tuple(free)
+    )
+
+
+class _LatticeCells:
+    """A domain's cells, addressed from the subset lattice.
+
+    Positions are those of `space.members`, and a menu is the bitmask of
+    its ids' positions; cells are in `ChoiceDomain.cells` order.  The
+    work arrays are reused from call to call, so one instance serves one
+    caller at a time.
+    """
+
+    def __init__(self, space: AggregateSpace, domain: ChoiceDomain):
+        n = len(space.members)
+        position = {a: k for k, a in enumerate(space.members)}
+        ids: list[int] = []
+        masks: list[int] = []
+        for menu in domain.menus:
+            members = sorted(position[a] for a in menu)
+            ids.extend(members)
+            masks.extend([sum(1 << k for k in members)] * len(members))
+        self.n = n
+        self.lattice = _lattice(n)
+        self.ids = np.array(ids)  # per cell: its id's position
+        self.masks = np.array(masks)  # per cell: its menu
+        self.table = np.zeros(n << n)  # cell (A, k) at k * 2^n + A
+        self.index = self.ids << n | self.masks
+        self.totals = np.empty(len(self.lattice.starts))
+        # Each level's block of `totals`, from the full set down.
+        self.levels = [
+            (self.totals[lo:hi].reshape(after.shape), after)
+            for lo, hi, after in reversed(self.lattice.levels)
+        ]
+
+    def cheapest(self, costs: np.ndarray) -> tuple[tuple[int, ...], float]:
+        """The first order, in `all_orders` order, picking the cheapest cells.
+
+        An order picks each menu's best id, so the cost of cell (A, k),
+        `costs[i]` for cell i, is paid on the lattice edge that places k
+        first among A's ids.  Edge (U, k) therefore costs f_k(complement
+        of U), the sum of the costs of cells (A, k) over menus A inside
+        the complement: a subset-sum (zeta) transform of the costs.
+        Dynamic programming gives the least cost from each set to the
+        full one.  Walking from the empty set and taking at each step the
+        lowest position whose edge stays on a least path gives the first
+        optimum in `all_orders` order.  Path costs within ORDER_TIE_TOL
+        times the total absolute cost of each other count as equal, so a
+        tie of the exact sums is not broken by rounding.  Returns the
+        order, as positions best first, and the least total.
+        """
+        lattice = self.lattice
+        self.table[self.index] = costs
+        # Each edge's cost, then in place its cost plus the least cost
+        # from where it leads, level by level from the full set down.
+        np.add.reduceat(self.table[lattice.gather], lattice.starts, out=self.totals)
+        (top, _), *rest = self.levels
+        least = top[:, 0]  # sets of n - 1 ids: one edge each, to the full set
+        for level, after in rest:
+            level += least[after]
+            least = level.min(axis=1)
+        totals = self.totals.tolist()
+        slack = ORDER_TIE_TOL * float(np.abs(costs).sum())
+        order, placed = [], 0
+        for lo, _, _ in lattice.levels:
+            free = lattice.free[placed]
+            start = lo + lattice.rows[placed] * len(free)
+            choices = totals[start : start + len(free)]
+            bound = min(choices) + slack
+            for k, total in zip(free, choices):
+                if total <= bound:
+                    break
+            order.append(k)
+            placed |= 1 << k
+        return tuple(order), float(least[0])
+
+    def vertex(self, order: tuple[int, ...]) -> np.ndarray:
+        """The 0/1 row of the cells `order` (positions, best first) picks.
+
+        Cell (A, k) is picked when none of A's ids comes before k.
+        """
+        before = [0] * self.n
+        placed = 0
+        for k in order:
+            before[k] = placed
+            placed |= 1 << k
+        return ((self.masks & np.array(before)[self.ids]) == 0).astype(float)
+
+
+@dataclass(frozen=True)
 class DistanceResult:
-    """Projection of a dataset onto the ARU polytope."""
+    """Projection of a dataset onto the ARU polytope.
+
+    `lower_bound` is the squared distance at the last iterate minus the
+    duality gap there: no point of the polytope is nearer, so when it is
+    positive the data are certified to lie outside.
+    """
 
     squared_distance: float
     mixture: Mapping[LinearOrder, float]
     projection: StochasticChoice
     duality_gap: float
+    lower_bound: float
     iterations: int
     hit_iteration_cap: bool
     objective_trace: tuple[float, ...] = ()
 
 
-def _simplex_least_squares(
-    vertices: np.ndarray, target: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """Minimize ||target - w @ vertices||^2 over the probability simplex.
+class _Corral:
+    """The active vertices of Frank-Wolfe, kept affinely independent.
 
-    Active-set iteration: solve the equality-constrained problem on the
-    current support, and when a coordinate would go negative, step to
-    the boundary and drop it.  Deterministic and exact at this scale.
+    Each active vertex is held as a 0/1 row over the cells.  With
+    p = vertex - target, the nearest point of the active points' affine
+    hull has weights proportional to G^-1 1, where G = 1 + p_i . p_j is
+    their augmented Gram matrix (Wolfe 1976).  G = R^T R is kept as its
+    triangular factor R and the inverse S of R: a vertex entering borders
+    both, and one leaving is removed by Givens rotations, each in O(k^2)
+    (Lawson and Hanson 1974).  Products of two rows are counts of shared
+    cells.  No matrix-matrix product runs except the 2 x 2 rotations:
+    OpenBLAS splits larger ones by thread count, which changes their
+    rounding, so the result would depend on the thread count.
     """
-    k = len(vertices)
-    w = start.copy()
-    support = list(range(k))
-    for _ in range(4 * k + 8):
-        sub = vertices[support]
-        gram = 2.0 * (sub @ sub.T)
-        kkt = np.zeros((len(support) + 1, len(support) + 1))
-        kkt[: len(support), : len(support)] = gram
-        kkt[: len(support), -1] = 1.0
-        kkt[-1, : len(support)] = 1.0
-        rhs = np.concatenate([2.0 * (sub @ target), [1.0]])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        u = sol[: len(support)]
-        if (u >= -ACTIVE_SET_TOL).all():
-            w = np.zeros(k)
-            w[support] = np.clip(u, 0.0, None)
-            total = w.sum()
-            return w / total if total > 0 else start
-        w_s = w[support]
-        shrink = u < w_s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(shrink, w_s / (w_s - u), np.inf)
-        steps[u >= 0] = np.inf
-        alpha = float(steps.min())
-        w_s = w_s + alpha * (u - w_s)
-        w_s[w_s < ACTIVE_SET_FLOOR] = 0.0
-        w = np.zeros(k)
-        w[support] = w_s
-        support = [i for i in range(k) if w[i] > 0.0]
-        if not support:
-            return start
-    return w
+
+    def __init__(self, target: np.ndarray, menus: int):
+        self.target = target
+        self.offset = 1.0 + float(target @ target)
+        self.menus = menus
+        self.orders: list[tuple[int, ...]] = []
+        self.rows = np.empty((0, len(target)))
+        self.dots = np.empty(0)  # each row's product with the target
+        self.factor = np.empty((0, 0))  # R
+        self.inverse = np.empty((0, 0))  # S = R^-1
+
+    def enter(
+        self, order: tuple[int, ...], row: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Add the vertex of this 0/1 row; the weights extended to it.
+
+        The new vertex starts at weight 0.  One that lies in the active
+        vertices' affine hull (the square of its new diagonal entry of R
+        at most AFFINE_TOL times its entry of G) would make G singular.
+        It is exchanged in instead, as a simplex pivot would: it is the
+        affine combination beta = G^-1 (its column of G) of the active
+        points, so moving weight theta onto it and theta * beta off them
+        keeps the point; theta stops where the first active vertex
+        reaches weight 0 and leaves.
+        """
+        dot = float(row @ self.target)
+        projected, pivot, corner = self._border(row, dot)
+        theta = 0.0
+        if pivot <= AFFINE_TOL * corner:
+            beta = self.inverse @ projected
+            ratio = np.full(len(beta), math.inf)
+            ratio[beta > 0] = weights[beta > 0] / beta[beta > 0]
+            leave = int(np.argmin(ratio))
+            theta = float(ratio[leave])
+            weights = np.delete(weights - theta * beta, leave)
+            self._remove(leave)
+            projected, pivot, corner = self._border(row, dot)
+        k = len(projected)
+        diagonal = math.sqrt(pivot)
+        factor = np.zeros((k + 1, k + 1))
+        factor[:k, :k] = self.factor
+        factor[:k, k] = projected
+        factor[k, k] = diagonal
+        inverse = np.zeros((k + 1, k + 1))
+        inverse[:k, :k] = self.inverse
+        inverse[:k, k] = (self.inverse @ projected) / -diagonal
+        inverse[k, k] = 1.0 / diagonal
+        self.factor, self.inverse = factor, inverse
+        self.orders.append(order)
+        self.rows = np.concatenate((self.rows, row[None]))
+        self.dots = np.concatenate((self.dots, [dot]))
+        return np.concatenate((weights, [theta]))
+
+    def descend(self, weights: np.ndarray) -> np.ndarray:
+        """Minimize the distance over the active vertices' convex hull.
+
+        Wolfe's minor cycle: go to the affine minimizer when its weights
+        are all above -ACTIVE_SET_TOL; otherwise step toward it until a
+        weight reaches 0 (or falls below ACTIVE_SET_FLOOR), drop the
+        vertices left at 0, and repeat.  Vertices at weight 0 leave.
+        """
+        for _ in range(4 * len(weights) + 8):
+            affine = self.inverse @ self.inverse.sum(axis=0)
+            affine /= affine.sum()
+            lowest = affine.min()
+            if lowest > 0.0:
+                return affine
+            if lowest >= -ACTIVE_SET_TOL:
+                weights = np.clip(affine, 0.0, None)
+                return self._keep(weights / weights.sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(affine < 0.0, weights / (weights - affine), np.inf)
+            weights = weights + float(steps.min()) * (affine - weights)
+            weights[weights < ACTIVE_SET_FLOOR] = 0.0
+            weights = self._keep(weights)
+        return weights
+
+    def _border(self, row: np.ndarray, dot: float) -> tuple[np.ndarray, float, float]:
+        """A new row's column of R, the square of its diagonal entry of R,
+        and its own entry of G; `dot` is its product with the target."""
+        column = self.rows @ row - self.dots + (self.offset - dot)
+        projected = column @ self.inverse
+        corner = self.menus - 2.0 * dot + self.offset
+        return projected, corner - float(projected @ projected), corner
+
+    def _keep(self, weights: np.ndarray) -> np.ndarray:
+        """Remove the vertices at weight 0; the weights of the others."""
+        for j in np.flatnonzero(weights <= 0.0)[::-1]:
+            self._remove(int(j))
+        return weights[weights > 0.0]
+
+    def _remove(self, j: int) -> None:
+        """Drop vertex j: delete its column of R and rotate R back to
+        triangular, applying each rotation's transpose to S's columns."""
+        factor = np.delete(self.factor, j, axis=1)
+        inverse = self.inverse
+        for i in range(j, len(factor) - 1):
+            a, b = factor[i, i], factor[i + 1, i]
+            rotation = np.array([[a, b], [-b, a]]) / math.hypot(a, b)
+            factor[i : i + 2, i:] = rotation @ factor[i : i + 2, i:]
+            inverse[: i + 2, i : i + 2] = inverse[: i + 2, i : i + 2] @ rotation.T
+        self.factor = factor[:-1]
+        self.inverse = np.delete(inverse, j, axis=0)[:, :-1]
+        del self.orders[j]
+        keep = np.arange(len(self.dots)) != j
+        self.rows = self.rows[keep]
+        self.dots = self.dots[keep]
 
 
 def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult:
     """Squared Euclidean distance from the data to the ARU polytope.
 
-    Fully corrective Frank-Wolfe over the enumerated vertices: each step
-    adds the vertex minimizing the linearized objective, then re-solves
-    the least-squares problem exactly over the active vertex set.  Stops
-    at duality gap GAP_TOL; hitting the iteration cap (MAX_FW_ITERATIONS)
-    is reported in the result, never silent.
+    Fully corrective Frank-Wolfe: each step adds the vertex minimizing
+    the linearized objective, found by a shortest path on the subset
+    lattice (no order is enumerated), then re-solves the least-squares
+    problem over the active vertices by Wolfe's minor cycles.  The start
+    is the nearest vertex: every vertex has one cell per menu, hence the
+    same norm, so it is the first order, in `all_orders` order, that
+    maximizes v . target.  Stops at duality gap GAP_TOL; hitting the
+    iteration cap (MAX_FW_ITERATIONS) is reported in the result, never
+    silent.
     """
-    cells = rho.domain().cells()
-    # One row per vertex: the Frank-Wolfe sums below depend on this layout.
-    vertices = np.asarray(
-        order_events(space.members, cells).T, dtype=float, order="C"
-    )
+    domain = rho.domain()
+    cells = domain.cells()
     target = _cell_vector(rho, cells)
-
-    # The nearest vertex starts; its distances are taken over blocks of
-    # rows, so no second vertex-sized array is built.
-    step = max(1, linprog.BLOCK_BYTES // vertices[0].nbytes)
-    nearest = np.concatenate(
-        [
-            ((vertices[lo : lo + step] - target) ** 2).sum(axis=1)
-            for lo in range(0, len(vertices), step)
-        ]
-    )
-    start = int(np.argmin(nearest))
-    active = [start]
-    weights = np.array([1.0])
+    lattice = _LatticeCells(space, domain)
+    corral = _Corral(target, len(domain.menus))
+    start, _ = lattice.cheapest(-target)
+    weights = corral.enter(start, lattice.vertex(start), np.empty(0))
+    weights = corral.descend(weights)
     gap = math.inf
     iterations = 0
     trace: list[float] = []
     for iterations in range(1, MAX_FW_ITERATIONS + 1):
-        x = weights @ vertices[active]
-        trace.append(float(((x - target) ** 2).sum()))
-        grad = 2.0 * (x - target)
-        scores = vertices @ grad
-        best = int(np.argmin(scores))
-        gap = float(grad @ x - scores[best])
+        x = weights @ corral.rows
+        offset = x - target
+        trace.append(float(offset @ offset))
+        grad = offset + offset
+        best, least = lattice.cheapest(grad)
+        gap = float(grad @ x) - least
         if gap <= GAP_TOL:
             break
-        if best not in active:
-            active.append(best)
-            weights = np.concatenate([weights, [0.0]])
-        weights = _simplex_least_squares(vertices[active], target, weights)
-        keep = weights > 0.0
-        active = [a for a, k in zip(active, keep) if k]
-        weights = weights[keep]
+        if best not in corral.orders:
+            weights = corral.enter(best, lattice.vertex(best), weights)
+        weights = corral.descend(weights)
 
-    x = weights @ vertices[active]
-    projection = _cell_table(space, cells, x)
+    x = weights @ corral.rows
+    offset = x - target
+    members = space.members
     mixture = {
-        nth_order(space.members, a): float(w) for a, w in zip(active, weights)
+        LinearOrder(tuple(members[k] for k in order)): float(w)
+        for order, w in zip(corral.orders, weights)
     }
     return DistanceResult(
-        squared_distance=float(((x - target) ** 2).sum()),
+        squared_distance=float(offset @ offset),
         mixture=mixture,
-        projection=projection,
+        projection=_cell_table(space, cells, x),
         duality_gap=gap,
+        lower_bound=trace[-1] - gap,
         iterations=iterations,
         hit_iteration_cap=gap > GAP_TOL,
         objective_trace=tuple(trace),
@@ -208,40 +434,36 @@ def ru_vertex_lmo(
     For a fixed order the family is unconstrained across menus, so the
     minimization decomposes per menu into "follow the order" versus
     "deviate to some non-atomic member".  Ties prefer following, then
-    the earliest aggregate in construction order; ties across orders
-    keep the first order enumerated.
-
-    The best deviation on a menu does not depend on the order, so one
-    pass over the winner table scores every order.  Totals accumulate
-    menu by menu, so each order's sum adds the same floats in the same
-    order as a per-order loop would.
+    the earliest aggregate in construction order.  The best deviation on
+    a menu does not depend on the order, so an order's best vertex costs
+    c'(A, k) = min(c(A, k), best deviation on A) on each menu A, where
+    k is its pick.  The order is the lattice shortest path over c' (see
+    `_LatticeCells.cheapest`): the first order, in `all_orders` order,
+    of least total.
     """
 
     def coeff(menu: Menu, a: str) -> float:
         return gradient.get((menu, a), 0.0)
 
-    ground = space.members
-    menus = domain.menus
-    winners = order_winners(ground, menus)
-    total = np.zeros(len(winners))
     best_deviation: list[tuple[float, str | None]] = []
-    for j, menu in enumerate(menus):
+    costs: list[float] = []
+    for menu in domain.menus:
         value, target = math.inf, None
         for a in space.sort(menu & space.non_atomic_set):
             if coeff(menu, a) < value:
                 value, target = coeff(menu, a), a
         best_deviation.append((value, target))
-        follow = np.array([coeff(menu, a) for a in ground])
-        total += np.minimum(follow[winners[:, j]], value)
-    index = int(np.argmin(total))
+        costs.extend(min(coeff(menu, a), value) for a in space.sort(menu))
+    positions, _ = _LatticeCells(space, domain).cheapest(np.array(costs))
+    order = LinearOrder(tuple(space.members[k] for k in positions))
     deviations: dict[str, list[Menu]] = {}
-    for menu, pick, (value, target) in zip(menus, winners[index], best_deviation):
-        if value < coeff(menu, ground[pick]):
+    for menu, (value, target) in zip(domain.menus, best_deviation):
+        if value < coeff(menu, order.best(menu)):
             deviations.setdefault(target, []).append(menu)
     family = MenuCollectionFamily(
         {a: frozenset(menus) for a, menus in deviations.items()}
     )
-    return nth_order(ground, index), family
+    return order, family
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,13 @@ class TestSimulateAndSweep:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("triple", ["a,b,c", "0.5,0.5", "0.5,,0.5"])
+    def test_simulate_rejects_a_triple_that_is_not_three_numbers(self, triple, capsys):
+        assert main(["simulate", "--lambda-x", triple]) == 2
+        assert "error: composition triples need three comma-separated numbers" in (
+            capsys.readouterr().err
+        )
+
     def test_simulate_accepts_decimal_triples(self, capsys):
         assert main(["simulate", "--lambda-x", "0.1,0.2,0.7"]) == 0
 
@@ -418,8 +425,8 @@ class TestSimulateAndSweep:
             ),
             (
                 ["--mode", "utility", "--resolution", "2.5"],
-                "1e0e48f2c450ee39b5dc68ca6c318fcd8d210df0f91a094166a1130f88e90dbb",
-                "92d8de3fc0977fe4c12bae442da1e0b3f8aedcf4cdfd49c5315339945272059b",
+                "06e79fc636d91454b990f2f8c93678390cb070e9016ce4c16937d8f12401d885",
+                "04ae33459ffcf8634f939bc90cef705e0970e88ad0528bf52cc3cb987951ae84",
             ),
             (
                 ["--mode", "minmax", "--grid", "0.25", "--resolution", "0.05"],
@@ -438,10 +445,10 @@ class TestSimulateAndSweep:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            ([], "8214536529a7c754c34d52e489a097a072535a0c3e14a7dbacd66f130b7516a1"),
+            ([], "5ab4f0733645a577c3c97a30562bec1c5650a3d4111f8047e6a778eba51a162e"),
             (
                 ["--lambda-x", "0,1,0"],
-                "47171e682ec143927dd9471a52d96eecad071d323945281ffa8768380275134f",
+                "c1bbb1dae56263a16e1bf353c777b5d3aef61b272904f6fe7727693349215d75",
             ),
         ],
     )

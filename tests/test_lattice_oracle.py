@@ -1,0 +1,292 @@
+"""The subset-lattice oracle and the Frank-Wolfe corral built on it.
+
+The oracle is checked against the scan it replaced, the argmin of every
+order's score over `order_events`, and `ru_vertex_lmo` against the scan
+over the winner table.  Integer-valued gradients have exact ties, so
+both routes must agree on which order comes first, not only on the
+least value.
+"""
+
+import hashlib
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import aggchoice
+from aggchoice import (
+    AggregateSpace,
+    ChoiceDomain,
+    LinearOrder,
+    MenuCollectionFamily,
+    aru_distance,
+    build_nesting_counterexample,
+    check_aru_rational,
+    ru_vertex_lmo,
+)
+from aggchoice import geometry, model
+from aggchoice.cli import main
+from aggchoice.geometry import _Corral, _LatticeCells
+from aggchoice.model import all_orders, order_events, order_winners
+from aggchoice.tolerances import GAP_TOL
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(pathlib.Path(aggchoice.__file__).resolve().parent.parent)
+sys.path.insert(0, str(ROOT / "bench"))
+import instances as gen  # noqa: E402  (the benchmark's instance generator)
+
+make_space = gen.make_space
+
+
+def partial_domain(space, rng):
+    """About half the menus of the full domain, every singleton kept."""
+    menus = [
+        m
+        for m in ChoiceDomain.full(space).menus
+        if len(m) == 1 or rng.random() < 0.5
+    ]
+    return ChoiceDomain(space, tuple(menus))
+
+
+def first_least(scores, slack=0.0):
+    """Index of the first score within `slack` of the least."""
+    return int(np.flatnonzero(scores <= scores.min() + slack)[0])
+
+
+def lattice_order(space, domain, costs):
+    positions, least = _LatticeCells(space, domain).cheapest(costs)
+    return LinearOrder(tuple(space.members[k] for k in positions)), least
+
+
+def scan_lmo(gradient, space, domain):
+    """The RU vertex oracle as a scan over every order's winner table."""
+
+    def coeff(menu, a):
+        return gradient.get((menu, a), 0.0)
+
+    ground = space.members
+    winners = order_winners(ground, domain.menus)
+    total = np.zeros(len(winners))
+    best_deviation = []
+    for j, menu in enumerate(domain.menus):
+        value, target = math.inf, None
+        for a in space.sort(menu & space.non_atomic_set):
+            if coeff(menu, a) < value:
+                value, target = coeff(menu, a), a
+        best_deviation.append((value, target))
+        follow = np.array([coeff(menu, a) for a in ground])
+        total += np.minimum(follow[winners[:, j]], value)
+    index = int(np.argmin(total))
+    deviations = {}
+    for menu, pick, (value, target) in zip(
+        domain.menus, winners[index], best_deviation
+    ):
+        if value < coeff(menu, ground[pick]):
+            deviations.setdefault(target, []).append(menu)
+    family = MenuCollectionFamily({a: frozenset(m) for a, m in deviations.items()})
+    return all_orders(ground)[index], family
+
+
+SPACES = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (5, 1), (5, 2)]
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize("shape", SPACES)
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_matches_the_scan(self, shape, partial):
+        space = make_space(*shape)
+        rng = np.random.default_rng([len(space.members), partial])
+        domain = partial_domain(space, rng) if partial else ChoiceDomain.full(space)
+        events = order_events(space.members, domain.cells())
+        orders = all_orders(space.members)
+        for trial in range(20):
+            if trial % 2:
+                costs = rng.integers(-2, 3, len(events)).astype(float)
+            else:
+                costs = rng.normal(size=len(events))
+            scores = events.T @ costs
+            order, least = lattice_order(space, domain, costs)
+            assert order == orders[first_least(scores)]
+            assert least == pytest.approx(scores.min(), abs=1e-12)
+
+    def test_ties_keep_the_first_order(self):
+        space = make_space(4, 1)
+        domain = ChoiceDomain.full(space)
+        costs = np.zeros(len(domain.cells()))
+        assert lattice_order(space, domain, costs)[0].ranking == space.members
+
+    @pytest.mark.parametrize("atomic", [2, 3, 5])
+    def test_nearest_vertex_is_the_first_of_the_tied(self, atomic):
+        # Thirds and fifths: vertices tie in exact arithmetic, and their
+        # float scores differ by rounding only.
+        space = make_space(atomic, 1)
+        rho = build_nesting_counterexample(space)
+        domain = rho.domain()
+        cells = domain.cells()
+        target = np.array([rho.prob(m, a) for m, a in cells])
+        scores = order_events(space.members, cells).T @ -target
+        order, _ = lattice_order(space, domain, -target)
+        assert order == all_orders(space.members)[first_least(scores, 1e-9)]
+
+
+class TestRuVertexLmo:
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_matches_the_winner_table_scan(self, shape, partial):
+        space = make_space(*shape)
+        rng = np.random.default_rng([7, len(space.members), partial])
+        domain = partial_domain(space, rng) if partial else ChoiceDomain.full(space)
+        for trial in range(20):
+            draw = (
+                (lambda: float(rng.integers(-2, 3)))
+                if trial % 2
+                else (lambda: float(rng.normal()))
+            )
+            gradient = {cell: draw() for cell in domain.cells() if rng.random() < 0.8}
+            order, family = ru_vertex_lmo(gradient, space, domain)
+            expected_order, expected_family = scan_lmo(gradient, space, domain)
+            assert order == expected_order
+            assert family.per_aggregate == expected_family.per_aggregate
+
+
+class TestCorral:
+    def test_a_vertex_in_the_affine_hull_is_exchanged_in(self):
+        space = AggregateSpace(("x", "y"), ("a0", "a1"))
+        domain = ChoiceDomain.full(space)
+        lattice = _LatticeCells(space, domain)
+        rng = np.random.default_rng(5)
+        target = rng.random(len(domain.cells()))
+        corral = _Corral(target, len(domain.menus))
+        weights = np.empty(0)
+        orders = [tuple(int(k) for k in rng.permutation(4)) for _ in range(200)]
+        exchanged = 0
+        # All 24 vertices in turn, at spread weights: past 18, the
+        # polytope's dimension plus one, each lies in the others' hull.
+        for order in dict.fromkeys(orders):
+            rows = np.vstack([corral.rows, lattice.vertex(order)])
+            augmented = np.hstack([np.ones((len(rows), 1)), rows])
+            dependent = np.linalg.matrix_rank(augmented) < len(rows)
+            before = weights @ corral.rows if len(weights) else None
+            size = len(corral.orders)
+            weights = corral.enter(order, lattice.vertex(order), weights)
+            if dependent:
+                exchanged += 1
+                # The point is kept; one vertex left for the new one.
+                assert len(corral.orders) == size
+                assert np.allclose(weights @ corral.rows, before, atol=1e-12)
+            else:
+                weights = np.full(len(weights), 1.0 / len(weights))
+            augmented = np.hstack([np.ones((len(corral.rows), 1)), corral.rows])
+            assert np.linalg.matrix_rank(augmented) == len(corral.rows)
+            assert (weights >= 0).all()
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+            # S inverts the triangular factor R of the augmented Gram matrix.
+            gram = 1.0 + (corral.rows - target) @ (corral.rows - target).T
+            assert np.allclose(corral.factor.T @ corral.factor, gram, atol=1e-9)
+            assert np.allclose(
+                corral.inverse @ corral.factor, np.eye(len(gram)), atol=1e-9
+            )
+        assert len(corral.orders) == 18
+        assert exchanged == 24 - 18
+        start = weights @ corral.rows - target
+        weights = corral.descend(weights)
+        assert (weights > 0).all()
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+        end = weights @ corral.rows - target
+        assert end @ end <= start @ start
+
+    def test_full_dimensional_corral_reaches_interior_data(self):
+        # Every order of 5 ids carries weight, so the projection is the
+        # data itself, inside the polytope: the corral ends as a simplex
+        # of the polytope's full dimension, 80 cells less 31 menus.
+        rho = gen.aru_order_mixture("all-orders", make_space(4, 1), 1, 0).rho
+        result = aru_distance(rho, rho.space)
+        assert not result.hit_iteration_cap
+        assert result.squared_distance <= 1e-20
+        assert len(result.mixture) == 80 - 31 + 1
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certifies_forced_non_aru_data(self, shape, seed):
+        rho = gen.vertex_mixture(
+            "forced", make_space(*shape), seed, 0, 8, force_non_aru=True
+        ).rho
+        assert not check_aru_rational(rho, rho.space).passed
+        result = aru_distance(rho, rho.space)
+        assert 0.0 < result.lower_bound <= result.squared_distance
+        assert result.lower_bound == result.squared_distance - result.duality_gap
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 1), (3, 2)])
+    def test_at_most_the_gap_on_aru_rational_data(self, shape):
+        rho = gen.aru_order_mixture("aru", make_space(*shape), 1, 0).rho
+        result = aru_distance(rho, rho.space)
+        assert result.lower_bound <= GAP_TOL
+        assert result.squared_distance <= 1e-8
+
+
+def polytope_manifest(tmp_path, atomic, seed=1):
+    inst = gen.vertex_mixture(
+        "poly", make_space(atomic, 2), seed, 0, 8, force_non_aru=True
+    )
+    path = tmp_path / f"poly{atomic + 2}.json"
+    path.write_text(inst.manifest_text())
+    return str(path)
+
+
+class TestScale:
+    def test_no_order_enumeration_at_seven_ids(self, tmp_path, monkeypatch):
+        path = polytope_manifest(tmp_path, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated every order")
+
+        table = model._permutation_table
+
+        def small_tables_only(n):
+            if n >= 7:
+                refuse()
+            return table(n)
+
+        monkeypatch.setattr(geometry, "order_events", refuse, raising=False)
+        monkeypatch.setattr(geometry, "order_winners", refuse)
+        monkeypatch.setattr(geometry, "all_orders", refuse)
+        monkeypatch.setattr(model, "_permutation_table", small_tables_only)
+        out = tmp_path / "out.json"
+        assert main(["distance", "--input", path, "--output", str(out)]) == 0
+        argv = ["caratheodory", "--k", "2", "--input", path, "--output", str(out)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("name", ["poly8", "aru7"])
+    def test_distance_does_not_depend_on_the_blas_thread_count(self, tmp_path, name):
+        # The 7-id mixture of all orders grows 322 active vertices; a Gram
+        # matrix built there by a matrix product changed with the threads.
+        if name == "poly8":
+            path = polytope_manifest(tmp_path, 6)
+        else:
+            inst = gen.aru_order_mixture(name, make_space(5, 2), 1, 0)
+            path = tmp_path / "aru7.json"
+            path.write_text(inst.manifest_text())
+        digests = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": SRC,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            argv = ["-m", "aggchoice.cli", "distance", "--input", str(path)]
+            out = subprocess.run(
+                [sys.executable, *argv],
+                env=env,
+                check=True,
+                capture_output=True,
+            ).stdout
+            digests.append(hashlib.sha256(out).hexdigest())
+        assert digests[0] == digests[1]

@@ -178,15 +178,15 @@ class TestGolden:
     def test_aru_distance(self):
         result = aru_distance(vertex_mixture_data(), SPACE4)
         assert [(o.ranking, w) for o, w in result.mixture.items()] == [
-            (("x", "y", "a0", "a1"), 0.4353546910755147),
-            (("a1", "a0", "y", "x"), 0.014016018306634159),
-            (("y", "a1", "a0", "x"), 0.108838672768878),
-            (("a0", "a1", "x", "y"), 0.0537757437070936),
-            (("a1", "a0", "x", "y"), 0.26086956521739335),
-            (("a1", "y", "x", "a0"), 0.013443935926771807),
-            (("y", "x", "a1", "a0"), 0.04033180778032053),
-            (("a1", "y", "a0", "x"), 0.06250000000000207),
-            (("y", "x", "a0", "a1"), 0.010869565217391852),
+            (("x", "y", "a0", "a1"), 0.4353546910755149),
+            (("a1", "a0", "y", "x"), 0.014016018306636355),
+            (("y", "a1", "a0", "x"), 0.10883867276887865),
+            (("a0", "a1", "x", "y"), 0.05377574370709382),
+            (("a1", "a0", "x", "y"), 0.2608695652173912),
+            (("a1", "y", "x", "a0"), 0.013443935926773516),
+            (("y", "x", "a1", "a0"), 0.04033180778032045),
+            (("a1", "y", "a0", "x"), 0.06249999999999988),
+            (("y", "x", "a0", "a1"), 0.010869565217391255),
         ]
         assert result.iterations == 9
         assert result.objective_trace == (
@@ -195,13 +195,14 @@ class TestGolden:
             0.3674863387978142,
             0.3140558321479374,
             0.22487173507462682,
-            0.20791217430368378,
-            0.2043409806567702,
+            0.20791217430368372,
+            0.20434098065677014,
             0.20086875843454793,
-            0.2007294050343249,
+            0.20072940503432496,
         )
-        assert result.squared_distance == 0.2007294050343249
-        assert result.duality_gap == 9.2148511043888e-15
+        assert result.squared_distance == 0.20072940503432496
+        assert result.duality_gap == 5.551115123125783e-16
+        assert result.lower_bound == 0.2007294050343244
 
     def test_caratheodory_vertices(self):
         result = approx_caratheodory(vertex_mixture_data(), 3, SPACE4)
