@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linprog
-from .errors import DomainClosureViolated, DomainTooLarge, IncompleteDomain
+from .errors import (
+    DomainClosureViolated,
+    DomainTooLarge,
+    IncompleteDomain,
+    VerificationBug,
+)
 from .model import (
     AggregateSpace,
     ChoiceDomain,
@@ -261,6 +266,9 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
     flow are the certificate.  Otherwise the LP route solves the exact
     feasibility problem over enumerated atomic orders, and its support
     is the certificate.  Either certificate is replayed against the data.
+    A negative Block-Marschak value is itself the certificate of failure
+    (every order's table has a nonnegative sum there), so each reported
+    cell is replayed through `bm_polynomial`, which sums independently.
     """
     atoms = space.atomic
     menus = _atomic_menus(rho, space)
@@ -275,15 +283,23 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
             value = float(values[position[item], s])
             if value < -AXIOM_TOL:
                 violations.append(Violation("block-marschak", (menu, item), value, 0.0))
+    bound = flow_tol(len(atoms))
     if violations:
         violations.sort(key=lambda v: (space.menu_key(v.subject[0]), v.subject[1]))
+        for v in violations:
+            menu, item = v.subject
+            replayed = bm_polynomial(rho, space, menu, item)
+            if not abs(replayed - v.lhs) <= bound:
+                raise VerificationBug(
+                    f"Block-Marschak value {v.lhs!r} of {item!r} in {sorted(menu)} "
+                    f"misses its alternating sum {replayed!r} (tolerance {bound!r})"
+                )
         return AxiomReport(passed=False, violations=tuple(violations), method="bm")
     if not atoms:  # without atomic ids there is no order to certify
         return AxiomReport(passed=True, method="bm")
     chains = _bm_flow_chains(values)
     total = math.fsum(w for _, w in chains)
     weights = {LinearOrder(tuple(atoms[k] for k in c)): w / total for c, w in chains}
-    bound = flow_tol(len(atoms))
     certificate = _certified(weights, rho, menus, bound, "Block-Marschak certificate")
     return AxiomReport(passed=True, certificate=certificate, method="bm")
 

@@ -26,7 +26,7 @@ from .axioms import (
 )
 from .errors import AggChoiceError, AxiomViolated, NotRURational
 from .geometry import approx_caratheodory, aru_distance, vertex_count_lower_bound
-from .model import ChoiceDomain, all_orders, forward_evaluate, order_winners
+from .model import ChoiceDomain, all_orders, forward_evaluate, order_events
 from .rationalize import rationalize
 from .render import heatmap_svg
 from .serialize import Manifest
@@ -252,16 +252,17 @@ def _cmd_vertices(args) -> int:
             if manifest.choice is not None
             else ChoiceDomain.full(space)
         )
-        winners = order_winners(space.members, domain.menus)
+        cells = domain.cells()
+        events = order_events(space.members, cells)
         payload["aru_vertices"] = [
             {
                 "ranking": list(order.ranking),
                 "table": [
-                    {"menu": list(space.sort(menu)), "chosen": space.members[k]}
-                    for menu, k in zip(domain.menus, picks)
+                    {"menu": list(space.sort(menu)), "chosen": a}
+                    for (menu, a), picked in zip(cells, picks) if picked
                 ],
             }
-            for order, picks in zip(all_orders(space.members), winners)
+            for order, picks in zip(all_orders(space.members), events.T.tolist())
         ]
     _emit(payload, args.output)
     return PASS

@@ -36,12 +36,11 @@ from .model import (
     MenuCollectionFamily,
     PreferenceDistribution,
     StochasticChoice,
-    all_orders,  # noqa: F401  (bench/tracing.py patches this import site)
+    _check_enumerable,
+    all_orders,
     forward_evaluate,
-    nth_order,
-    order_winners,
+    order_events,
     verify_replay,
-    vertex_choice,
 )
 from .rationalize import Rationalization
 from .tolerances import (
@@ -65,20 +64,6 @@ GRID_BUDGET = 5_000_000
 
 #: Step of the grid oracle's composition weights.
 GRID_RESOLUTION = 0.02
-
-
-def _cell_vector(rho: StochasticChoice, cells: list[tuple[Menu, str]]) -> np.ndarray:
-    return np.array([rho.prob(m, a) for m, a in cells])
-
-
-def _cell_table(
-    space: AggregateSpace, cells: list[tuple[Menu, str]], vector: np.ndarray
-) -> StochasticChoice:
-    """The table holding `vector` at its `cells`, the inverse of `_cell_vector`."""
-    table: dict[Menu, dict[str, float]] = {}
-    for (menu, a), p in zip(cells, vector):
-        table.setdefault(menu, {})[a] = float(p)
-    return StochasticChoice(space, table)
 
 
 @dataclass(frozen=True)
@@ -145,23 +130,20 @@ class _LatticeCells:
 
     Positions are those of `space.members`, and a menu is the bitmask of
     its ids' positions; cells are in `ChoiceDomain.cells` order.  The
-    work arrays are reused from call to call, so one instance serves one
-    caller at a time.
+    lattice, like every order enumeration, is capped at
+    MAX_ENUMERATION_GROUND ids.  The work arrays are reused from call to
+    call, so one instance serves one caller at a time.
     """
 
     def __init__(self, space: AggregateSpace, domain: ChoiceDomain):
-        n = len(space.members)
-        position = {a: k for k, a in enumerate(space.members)}
-        ids: list[int] = []
-        masks: list[int] = []
-        for menu in domain.menus:
-            members = sorted(position[a] for a in menu)
-            ids.extend(members)
-            masks.extend([sum(1 << k for k in members)] * len(members))
-        self.n = n
+        _check_enumerable(space.members)
+        self.n = n = len(space.members)
+        self.space = space
+        self.cells = domain.cells()
+        mask = {m: sum(1 << space.index(a) for a in m) for m in domain.menus}
         self.lattice = _lattice(n)
-        self.ids = np.array(ids)  # per cell: its id's position
-        self.masks = np.array(masks)  # per cell: its menu
+        self.ids = np.array([space.index(a) for _, a in self.cells])  # positions
+        self.masks = np.array([mask[m] for m, _ in self.cells])  # menus
         self.table = np.zeros(n << n)  # cell (A, k) at k * 2^n + A
         self.index = self.ids << n | self.masks
         self.totals = np.empty(len(self.lattice.starts))
@@ -223,6 +205,27 @@ class _LatticeCells:
             before[k] = placed
             placed |= 1 << k
         return ((self.masks & np.array(before)[self.ids]) == 0).astype(float)
+
+    def ru_vertex(self, order: LinearOrder, family: MenuCollectionFamily) -> np.ndarray:
+        """The 0/1 row of a menu-effect vertex: the order's row with each
+        deviation menu's pick moved to the menu's target."""
+        row = self.vertex(tuple(map(self.space.index, order.ranking)))
+        for c, (menu, a) in enumerate(self.cells):
+            target = family.deviation_target(menu)
+            if target is not None:
+                row[c] = a == target
+        return row
+
+    def values(self, rho: StochasticChoice) -> np.ndarray:
+        """The data's value at each cell."""
+        return np.array([rho.prob(m, a) for m, a in self.cells])
+
+    def choice(self, values: np.ndarray) -> StochasticChoice:
+        """The table holding `values` at the cells, the inverse of `values`."""
+        table: dict[Menu, dict[str, float]] = {}
+        for (menu, a), p in zip(self.cells, values):
+            table.setdefault(menu, {})[a] = float(p)
+        return StochasticChoice(self.space, table)
 
 
 @dataclass(frozen=True)
@@ -381,9 +384,8 @@ def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult
     silent.
     """
     domain = rho.domain()
-    cells = domain.cells()
-    target = _cell_vector(rho, cells)
     lattice = _LatticeCells(space, domain)
+    target = lattice.values(rho)
     corral = _Corral(target, len(domain.menus))
     start, _ = lattice.cheapest(-target)
     weights = corral.enter(start, lattice.vertex(start), np.empty(0))
@@ -414,7 +416,7 @@ def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult
     return DistanceResult(
         squared_distance=float(offset @ offset),
         mixture=mixture,
-        projection=_cell_table(space, cells, x),
+        projection=lattice.choice(x),
         duality_gap=gap,
         lower_bound=trace[-1] - gap,
         iterations=iterations,
@@ -454,16 +456,17 @@ def ru_vertex_lmo(
                 value, target = coeff(menu, a), a
         best_deviation.append((value, target))
         costs.extend(min(coeff(menu, a), value) for a in space.sort(menu))
-    positions, _ = _LatticeCells(space, domain).cheapest(np.array(costs))
-    order = LinearOrder(tuple(space.members[k] for k in positions))
+    lattice = _LatticeCells(space, domain)
+    positions, _ = lattice.cheapest(np.array(costs))
+    picks = [lattice.cells[c] for c in np.flatnonzero(lattice.vertex(positions))]
     deviations: dict[str, list[Menu]] = {}
-    for menu, (value, target) in zip(domain.menus, best_deviation):
-        if value < coeff(menu, order.best(menu)):
+    for (menu, a), (value, target) in zip(picks, best_deviation):
+        if value < coeff(menu, a):
             deviations.setdefault(target, []).append(menu)
     family = MenuCollectionFamily(
         {a: frozenset(menus) for a, menus in deviations.items()}
     )
-    return order, family
+    return LinearOrder(tuple(space.members[k] for k in positions)), family
 
 
 @dataclass(frozen=True)
@@ -499,15 +502,9 @@ def approx_caratheodory(
     if not check_ru_rational(rho, space).passed:
         raise NotRURational("sparse approximation needs RU-rational data")
     domain = rho.domain()
-    cells = domain.cells()
-    target = _cell_vector(rho, cells)
+    lattice = _LatticeCells(space, domain)
+    target = lattice.values(rho)
     dim = float(len(domain.menus))
-
-    def lmo_vector(grad: np.ndarray) -> tuple:
-        gradient = {cell: float(g) for cell, g in zip(cells, grad)}
-        order, family = ru_vertex_lmo(gradient, space, domain)
-        table = vertex_choice(order, family, domain)
-        return order, family, _cell_vector(table, cells)
 
     chosen: list[tuple[LinearOrder, MenuCollectionFamily]] = []
     vectors: list[np.ndarray] = []
@@ -515,10 +512,12 @@ def approx_caratheodory(
     for t in range(k):
         # argmin_v ||(running + v)/(t+1) - target||^2 over vertices reduces
         # to a linear oracle because ||v||^2 is constant across vertices.
-        order, family, v = lmo_vector(running - (t + 1.0) * target)
-        chosen.append((order, family))
-        vectors.append(v)
-        running = running + v
+        grad = running - (t + 1.0) * target
+        gradient = {cell: float(g) for cell, g in zip(lattice.cells, grad)}
+        vertex = ru_vertex_lmo(gradient, space, domain)
+        chosen.append(vertex)
+        vectors.append(lattice.ru_vertex(*vertex))
+        running = running + vectors[-1]
 
     x = np.zeros_like(target)
     for t, v in enumerate(vectors):
@@ -526,7 +525,7 @@ def approx_caratheodory(
         x = (1.0 - step) * x + step * v
 
     uniform = running / k
-    approximation = _cell_table(space, cells, uniform)
+    approximation = lattice.choice(uniform)
     return SparseApproximation(
         vertices=tuple(chosen),
         weights=tuple([1.0 / k] * k),
@@ -655,13 +654,13 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     ground = space.atomic + synthetic
     subsets = _subset_list(synthetic)
     # Every realized set is a subset of the ground (at most 6 ids).
-    realizable = _subset_list(ground)
-    winners = order_winners(ground, realizable)
-    column = {s: j for j, s in enumerate(realizable)}
+    cells = [(s, y) for s in _subset_list(ground) for y in s]
+    events = order_events(ground, cells)
+    row_of = {cell: c for c, cell in enumerate(cells)}
 
     def event_row(realized: frozenset[str], y: str) -> np.ndarray:
         """1.0 for each order whose best element of `realized` is y."""
-        return (winners[:, column[realized]] == ground.index(y)).astype(float)
+        return events[row_of[realized, y]].astype(float)
 
     # Static rows: atomic menus pin the atomic marginals of every order.
     atomic_rows: list[np.ndarray] = []
@@ -753,7 +752,7 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     # Depth-first search, cheapest plans first, with zero-propagation
     # pruning before each feasibility LP.
     plans.sort(key=lambda p: (len(p.candidates), space.menu_key(p.menu)))
-    n_orders = len(winners)
+    n_orders = events.shape[1]
     checked = 0
 
     def solve(rows: list[tuple[np.ndarray, float]]) -> dict[int, float] | None:
@@ -802,9 +801,8 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     if support is None:
         return GridOracleResult(False, None, checked)
 
-    prefs = PreferenceDistribution(
-        {nth_order(ground, i): w for i, w in support.items()}
-    )
+    orders = all_orders(ground)
+    prefs = PreferenceDistribution({orders[i]: w for i, w in support.items()})
     correspondence = AggregationCorrespondence.identity_atomic(
         space, {outside: synthetic}
     )

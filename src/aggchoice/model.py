@@ -347,13 +347,13 @@ def all_orders(ground: tuple[str, ...]) -> list[LinearOrder]:
 
 
 @functools.cache
-def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of range(n) and their rank arrays, as read-only int8.
+def _permutation_table(n: int) -> np.ndarray:
+    """The rank array of every permutation of range(n), as read-only int8.
 
-    Row i of `perms` is the i-th tuple of ``itertools.permutations(range(n))``,
-    so it is order i of `all_orders`.  ``ranks[x, i]`` is the position of
-    x in that order; each id's ranks across orders are contiguous.  Both
-    arrays together take 2 * n * n! bytes (645 KB at n = 8).
+    Order i is the i-th tuple of ``itertools.permutations(range(n))``, so
+    it is order i of `all_orders`.  ``ranks[x, i]`` is the position of x
+    in that order; each id's ranks across orders are contiguous.  The
+    array takes n * n! bytes (323 KB at n = 8).
     """
     count = math.factorial(n)
     perms = np.fromiter(
@@ -363,16 +363,8 @@ def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     ).reshape(count, n)
     ranks = np.empty((n, count), dtype=np.int8)
     ranks[perms, np.arange(count)[:, None]] = np.arange(n, dtype=np.int8)
-    perms.flags.writeable = False
     ranks.flags.writeable = False
-    return perms, ranks
-
-
-def nth_order(ground: Sequence[str], index: int) -> LinearOrder:
-    """``all_orders(ground)[index]``, without building the other orders."""
-    _check_enumerable(ground)
-    perms, _ = _permutation_table(len(ground))
-    return LinearOrder(tuple(ground[k] for k in perms[index]))
+    return ranks
 
 
 def _winners(ranks: np.ndarray, menus: Sequence[Iterable[int]]) -> np.ndarray:
@@ -394,27 +386,6 @@ def _winners(ranks: np.ndarray, menus: Sequence[Iterable[int]]) -> np.ndarray:
     return table
 
 
-def order_winners(
-    ground: Sequence[str], menus: Sequence[Iterable[str]]
-) -> np.ndarray:
-    """Winner table of every order on every menu.
-
-    Entry (i, j) is the index into `ground` of ``all_orders(ground)[i]``'s
-    best element of ``menus[j]``.  Returns an int8 array of shape
-    (n!, len(menus)), n! * len(menus) bytes, whose columns are contiguous.
-    """
-    _check_enumerable(ground)
-    _, ranks = _permutation_table(len(ground))
-    position = {x: i for i, x in enumerate(ground)}
-    try:
-        menus = [[position[x] for x in menu] for menu in menus]
-    except KeyError as err:
-        raise GroundMismatch(
-            f"menu id {err.args[0]!r} is not in the ground set"
-        ) from None
-    return _winners(ranks, menus).T
-
-
 def order_events(
     ground: Sequence[str], cells: Sequence[tuple[Iterable[str], str]]
 ) -> np.ndarray:
@@ -422,14 +393,20 @@ def order_events(
 
     Entry (c, i) is True when ``all_orders(ground)[i]`` picks aggregate a
     from menu m, where ``cells[c] = (m, a)``.  Returns a C-contiguous bool
-    array of shape (len(cells), n!).
+    array of shape (len(cells), n!).  Enforces the enumeration cap, and
+    raises `GroundMismatch` on an id outside the ground set.
     """
+    _check_enumerable(ground)
     menus = list(dict.fromkeys(frozenset(m) for m, _ in cells))
     column = {m: j for j, m in enumerate(menus)}
     position = {x: i for i, x in enumerate(ground)}
-    by_menu = order_winners(ground, menus).T
+    try:
+        ids = [[position[x] for x in menu] for menu in menus]
+        picked = np.array([position[a] for _, a in cells], dtype=np.int8)
+    except KeyError as err:
+        raise GroundMismatch(f"id {err.args[0]!r} is not in the ground set") from None
+    by_menu = _winners(_permutation_table(len(ground)), ids)
     rows = [column[frozenset(m)] for m, _ in cells]
-    picked = np.array([position[a] for _, a in cells], dtype=np.int8)
     return by_menu[rows] == picked[:, None]
 
 

@@ -98,7 +98,8 @@ def flow_tol(atoms: int) -> float:
     sums 2^(atoms - |A|) flow values, at most 2^(atoms - 1) of them.
     Dividing the chains by their total, which is within as much of 1,
     at most doubles that.  The last term covers rounding: each sum adds
-    at most 2^atoms table values.
+    at most 2^atoms table values.  So it also bounds the gap between a
+    sum from the Möbius pass and its `fsum` replay, which is rounding.
     """
     return 2**atoms * AXIOM_TOL + 1e-11
 

@@ -328,6 +328,25 @@ class TestBlockMarschakFlow:
         assert first.subject == (frozenset({X}), X)
         assert first.lhs == pytest.approx(1 - 0.6 - 0.6 + 0.1)
 
+    @pytest.mark.parametrize("menu", [(X,), (X, Y), (X, Y, "z")])
+    def test_a_false_negative_value_raises(self, monkeypatch, menu):
+        # Each reported cell is replayed through bm_polynomial, so a
+        # Möbius pass that invents a negative value cannot fail the check.
+        space = AggregateSpace((X, Y, "z"), ())
+        mu = random_preferences(space.members, np.random.default_rng(8))
+        rho = aru_evaluate(mu, ChoiceDomain.full(space))
+        assert check_partial_ru(rho, space).passed
+        s = sum(1 << space.index(a) for a in menu)
+
+        def corrupted(rho, space):
+            values = bm_values(rho, space)
+            values[0, s] = -0.25
+            return values
+
+        monkeypatch.setattr(axioms, "bm_values", corrupted)
+        with pytest.raises(VerificationBug, match="alternating sum"):
+            check_ru_rational(rho, space)
+
 
 class TestRuRational:
     def test_vertices_pass(self, three_space, three_domain):

@@ -209,6 +209,22 @@ class TestDistanceAndCaratheodory:
         assert payload["achieved"] <= payload["bound"] + 1e-12
         assert payload["certifies_ru_n"] == 3
 
+    @pytest.mark.parametrize("command", [["distance"], ["caratheodory", "--k", "1"]])
+    def test_nine_ids_exceed_the_cap(self, tmp_path, capsys, command):
+        # The subset lattice holds n * 3^(n - 1) cell entries, so it has the
+        # cap of every order enumeration.  Two menus are enough to reach it.
+        space = AggregateSpace(tuple(f"x{k}" for k in range(7)), ("a0", "a1"))
+        rho = StochasticChoice(
+            space,
+            {frozenset({"x0"}): {"x0": 1.0}, frozenset({"x0", "a0"}): {"a0": 1.0}},
+        )
+        path = tmp_path / "nine.json"
+        save(Manifest(space=space, choice=rho), str(path))
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot enumerate orders on 9 ids (cap is 8)\n"
+
     def test_caratheodory_rejects_non_ru(self, lm_violation_path):
         assert main(["caratheodory", "--input", lm_violation_path, "--k", "2"]) == 1
 

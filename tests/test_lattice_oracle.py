@@ -1,10 +1,11 @@
 """The subset-lattice oracle and the Frank-Wolfe corral built on it.
 
 The oracle is checked against the scan it replaced, the argmin of every
-order's score over `order_events`, and `ru_vertex_lmo` against the scan
-over the winner table.  Integer-valued gradients have exact ties, so
-both routes must agree on which order comes first, not only on the
-least value.
+order's score over `order_events`, and `ru_vertex_lmo` against the same
+scan with each menu's best deviation.  Integer-valued gradients have
+exact ties, so both routes must agree on which order comes first, not
+only on the least value.  Carathéodory's vertex rows are checked against
+the tables `vertex_choice` builds.
 """
 
 import hashlib
@@ -23,15 +24,17 @@ from aggchoice import (
     ChoiceDomain,
     LinearOrder,
     MenuCollectionFamily,
+    approx_caratheodory,
     aru_distance,
     build_nesting_counterexample,
     check_aru_rational,
     ru_vertex_lmo,
+    vertex_choice,
 )
 from aggchoice import geometry, model
 from aggchoice.cli import main
 from aggchoice.geometry import _Corral, _LatticeCells
-from aggchoice.model import all_orders, order_events, order_winners
+from aggchoice.model import all_orders, order_events
 from aggchoice.tolerances import GAP_TOL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -63,32 +66,31 @@ def lattice_order(space, domain, costs):
 
 
 def scan_lmo(gradient, space, domain):
-    """The RU vertex oracle as a scan over every order's winner table."""
+    """The RU vertex oracle as a scan over every order's cells."""
 
     def coeff(menu, a):
         return gradient.get((menu, a), 0.0)
 
-    ground = space.members
-    winners = order_winners(ground, domain.menus)
-    total = np.zeros(len(winners))
-    best_deviation = []
-    for j, menu in enumerate(domain.menus):
+    best_deviation = {}
+    for menu in domain.menus:
         value, target = math.inf, None
         for a in space.sort(menu & space.non_atomic_set):
             if coeff(menu, a) < value:
                 value, target = coeff(menu, a), a
-        best_deviation.append((value, target))
-        follow = np.array([coeff(menu, a) for a in ground])
-        total += np.minimum(follow[winners[:, j]], value)
+        best_deviation[menu] = value, target
+    cells = domain.cells()
+    costs = [min(coeff(m, a), best_deviation[m][0]) for m, a in cells]
+    events = order_events(space.members, cells)
+    # Cell by cell, so orders that pick equal costs get equal floats.
+    total = sum(np.where(row, cost, 0.0) for row, cost in zip(events, costs))
     index = int(np.argmin(total))
+    order = all_orders(space.members)[index]
     deviations = {}
-    for menu, pick, (value, target) in zip(
-        domain.menus, winners[index], best_deviation
-    ):
-        if value < coeff(menu, ground[pick]):
+    for menu, (value, target) in best_deviation.items():
+        if value < coeff(menu, order.best(menu)):
             deviations.setdefault(target, []).append(menu)
     family = MenuCollectionFamily({a: frozenset(m) for a, m in deviations.items()})
-    return all_orders(ground)[index], family
+    return order, family
 
 
 SPACES = [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (5, 1), (5, 2)]
@@ -151,6 +153,38 @@ class TestRuVertexLmo:
             expected_order, expected_family = scan_lmo(gradient, space, domain)
             assert order == expected_order
             assert family.per_aggregate == expected_family.per_aggregate
+
+
+class TestCaratheodory:
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_vertex_rows_match_vertex_choice(self, shape, partial, seed):
+        # Both measures, recomputed from the tables vertex_choice builds
+        # for the returned vertices, in the library's order of operations.
+        space = make_space(*shape)
+        domain = gen.closed_partial_domain(space, seed, 1) if partial else None
+        rho = gen.vertex_mixture("ru", space, seed, 0, 8, domain=domain).rho
+        domain = rho.domain()
+        cells = domain.cells()
+        target = np.array([rho.prob(m, a) for m, a in cells])
+        for k in range(1, 5):
+            result = approx_caratheodory(rho, k, space)
+            rows = [
+                np.array([vertex_choice(o, f, domain).prob(m, a) for m, a in cells])
+                for o, f in result.vertices
+            ]
+            uniform = sum(rows, np.zeros(len(cells))) / k
+            x = np.zeros(len(cells))
+            for t, row in enumerate(rows):
+                x = (1.0 - 2.0 / (t + 2.0)) * x + 2.0 / (t + 2.0) * row
+            menus = float(len(domain.menus))
+            assert result.achieved == float(((uniform - target) ** 2).sum()) / menus
+            assert result.fw_achieved == float(((x - target) ** 2).sum()) / menus
+            assert result.approximation.table == {
+                m: {a: float(p) for (menu, a), p in zip(cells, uniform) if menu == m}
+                for m in domain.menus
+            }
 
 
 class TestCorral:
@@ -253,8 +287,7 @@ class TestScale:
                 refuse()
             return table(n)
 
-        monkeypatch.setattr(geometry, "order_events", refuse, raising=False)
-        monkeypatch.setattr(geometry, "order_winners", refuse)
+        monkeypatch.setattr(geometry, "order_events", refuse)
         monkeypatch.setattr(geometry, "all_orders", refuse)
         monkeypatch.setattr(model, "_permutation_table", small_tables_only)
         out = tmp_path / "out.json"

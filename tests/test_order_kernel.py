@@ -41,14 +41,7 @@ from aggchoice import (
     unconditional_joint,
     vertex_choice,
 )
-from aggchoice.model import (
-    EMPTY_TUPLE,
-    _winners,
-    all_orders,
-    nth_order,
-    order_events,
-    order_winners,
-)
+from aggchoice.model import EMPTY_TUPLE, _winners, all_orders, order_events
 from conftest import random_composition, random_preferences
 
 SPACE5 = AggregateSpace(("x", "y", "z"), ("a0", "a1"))
@@ -134,21 +127,19 @@ def lmo_gradients():
 class TestKernel:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_winners_match_best(self, n):
+        # Every cell of every menu, on a ground whose ids are not sorted.
         ground = ("d", "b", "f", "a", "e", "c")[:n]
-        menus = [
-            frozenset(c)
+        cells = [
+            (frozenset(c), a)
             for r in range(1, n + 1)
             for c in itertools.combinations(ground, r)
+            for a in c
         ]
-        winners = order_winners(ground, menus)
-        assert winners.shape == (math.factorial(n), len(menus))
-        assert winners.dtype == np.int8
+        events = order_events(ground, cells)
+        assert events.shape == (len(cells), math.factorial(n))
+        assert events.dtype == np.bool_
         for i, order in enumerate(all_orders(ground)):
-            assert [ground[k] for k in winners[i]] == [order.best(m) for m in menus]
-
-    def test_nth_order(self):
-        ground = ("c", "a", "d", "b")
-        assert [nth_order(ground, i) for i in range(24)] == all_orders(ground)
+            assert events[:, i].tolist() == [order.best(m) == a for m, a in cells]
 
     def test_events_match_best(self):
         cells = DOMAIN4.cells()
@@ -159,9 +150,11 @@ class TestKernel:
 
     def test_cap_and_foreign_ids(self):
         with pytest.raises(DomainTooLarge):
-            order_winners(tuple("abcdefghi"), [menu("a")])
+            order_events(tuple("abcdefghi"), [(menu("a"), "a")])
         with pytest.raises(GroundMismatch):
-            order_winners(("a", "b"), [menu("a", "z")])
+            order_events(("a", "b"), [(menu("a", "z"), "a")])
+        with pytest.raises(GroundMismatch):
+            order_events(("a", "b"), [(menu("a", "b"), "z")])
 
 
 class TestGolden:
