@@ -386,6 +386,17 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite number (no nan or inf)."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a finite number")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -431,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     vert.set_defaults(func=_cmd_vertices)
 
     sim = sub.add_parser("simulate", help="one bias/distance evaluation")
-    sim.add_argument("--ux", type=float, default=2.0)
-    sim.add_argument("--uy", type=float, default=1.0)
-    sim.add_argument("--uz", type=float, default=3.0)
-    sim.add_argument("--uw", type=float, default=0.0)
+    sim.add_argument("--ux", type=_finite_float, default=2.0)
+    sim.add_argument("--uy", type=_finite_float, default=1.0)
+    sim.add_argument("--uz", type=_finite_float, default=3.0)
+    sim.add_argument("--uw", type=_finite_float, default=0.0)
     sim.add_argument("--lambda-x", default="0.8,0.1,0.1")
     sim.add_argument("--lambda-y", default="0.8,0.1,0.1")
     sim.add_argument("--lambda-xy", default="0.8,0.1,0.1")

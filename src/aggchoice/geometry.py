@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linprog
 from .axioms import check_ru_rational
-from .errors import NotRURational, TooLarge, VariantUnavailable
+from .errors import AggChoiceError, NotRURational, TooLarge, VariantUnavailable
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -136,6 +136,8 @@ class _LatticeCells:
     """
 
     def __init__(self, space: AggregateSpace, domain: ChoiceDomain):
+        if not domain.menus:
+            raise AggChoiceError("the choice table has no menus")
         _check_enumerable(space.members)
         self.n = n = len(space.members)
         self.space = space
@@ -144,6 +146,10 @@ class _LatticeCells:
         self.lattice = _lattice(n)
         self.ids = np.array([space.index(a) for _, a in self.cells])  # positions
         self.masks = np.array([mask[m] for m, _ in self.cells])  # menus
+        sizes = [len(m) for m in domain.menus]
+        self.menu_of = np.repeat(np.arange(len(sizes)), sizes)  # each cell's menu
+        self.starts = np.array([0, *itertools.accumulate(sizes[:-1])])  # first cells
+        self.deviant = self.ids >= len(space.atomic)  # members: atomic ids first
         self.table = np.zeros(n << n)  # cell (A, k) at k * 2^n + A
         self.index = self.ids << n | self.masks
         self.totals = np.empty(len(self.lattice.starts))
@@ -206,15 +212,33 @@ class _LatticeCells:
             placed |= 1 << k
         return ((self.masks & np.array(before)[self.ids]) == 0).astype(float)
 
-    def ru_vertex(self, order: LinearOrder, family: MenuCollectionFamily) -> np.ndarray:
-        """The 0/1 row of a menu-effect vertex: the order's row with each
-        deviation menu's pick moved to the menu's target."""
-        row = self.vertex(tuple(map(self.space.index, order.ranking)))
-        for c, (menu, a) in enumerate(self.cells):
-            target = family.deviation_target(menu)
-            if target is not None:
-                row[c] = a == target
-        return row
+    def cheapest_ru(
+        self, costs: np.ndarray
+    ) -> tuple[LinearOrder, MenuCollectionFamily, np.ndarray]:
+        """The RU vertex oracle: the first menu-effect vertex of least cost.
+
+        Each menu follows the order or, when strictly cheaper than its
+        pick, deviates to its cheapest non-atomic cell (ties to the
+        earliest aggregate).  That deviation does not depend on the
+        order, so the order is `cheapest` over c'(A, k) = min(c(A, k),
+        best deviation on A).  Returns the order, the family of deviation
+        menus by target, and the vertex's 0/1 row.
+        """
+        best = np.minimum.reduceat(np.where(self.deviant, costs, np.inf), self.starts)
+        positions, _ = self.cheapest(np.minimum(costs, best[self.menu_of]))
+        row = self.vertex(positions)
+        picks = np.flatnonzero(row)  # one per menu, in menu order
+        hits = np.flatnonzero(self.deviant & (costs == best[self.menu_of]))
+        menus, first = np.unique(self.menu_of[hits], return_index=True)
+        targets = dict(zip(menus.tolist(), hits[first].tolist()))
+        deviations: dict[str, list[Menu]] = {}
+        for j in np.flatnonzero(best < costs[picks]).tolist():
+            row[picks[j]], row[targets[j]] = 0.0, 1.0
+            menu, a = self.cells[targets[j]]
+            deviations.setdefault(a, []).append(menu)
+        family = MenuCollectionFamily({a: frozenset(m) for a, m in deviations.items()})
+        order = LinearOrder(tuple(self.space.members[k] for k in positions))
+        return order, family, row
 
     def values(self, rho: StochasticChoice) -> np.ndarray:
         """The data's value at each cell."""
@@ -433,40 +457,15 @@ def ru_vertex_lmo(
 ) -> tuple[LinearOrder, MenuCollectionFamily]:
     """Menu-effect vertex minimizing an inner product with the gradient.
 
-    For a fixed order the family is unconstrained across menus, so the
-    minimization decomposes per menu into "follow the order" versus
-    "deviate to some non-atomic member".  Ties prefer following, then
-    the earliest aggregate in construction order.  The best deviation on
-    a menu does not depend on the order, so an order's best vertex costs
-    c'(A, k) = min(c(A, k), best deviation on A) on each menu A, where
-    k is its pick.  The order is the lattice shortest path over c' (see
-    `_LatticeCells.cheapest`): the first order, in `all_orders` order,
-    of least total.
+    Cells absent from the gradient cost 0.  The oracle is
+    `_LatticeCells.cheapest_ru`: each menu follows the order unless its
+    cheapest non-atomic member is strictly cheaper, and the order is the
+    first, in `all_orders` order, of least total.
     """
-
-    def coeff(menu: Menu, a: str) -> float:
-        return gradient.get((menu, a), 0.0)
-
-    best_deviation: list[tuple[float, str | None]] = []
-    costs: list[float] = []
-    for menu in domain.menus:
-        value, target = math.inf, None
-        for a in space.sort(menu & space.non_atomic_set):
-            if coeff(menu, a) < value:
-                value, target = coeff(menu, a), a
-        best_deviation.append((value, target))
-        costs.extend(min(coeff(menu, a), value) for a in space.sort(menu))
     lattice = _LatticeCells(space, domain)
-    positions, _ = lattice.cheapest(np.array(costs))
-    picks = [lattice.cells[c] for c in np.flatnonzero(lattice.vertex(positions))]
-    deviations: dict[str, list[Menu]] = {}
-    for (menu, a), (value, target) in zip(picks, best_deviation):
-        if value < coeff(menu, a):
-            deviations.setdefault(target, []).append(menu)
-    family = MenuCollectionFamily(
-        {a: frozenset(menus) for a, menus in deviations.items()}
-    )
-    return LinearOrder(tuple(space.members[k] for k in positions)), family
+    costs = np.array([gradient.get(cell, 0.0) for cell in lattice.cells])
+    order, family, _ = lattice.cheapest_ru(costs)
+    return order, family
 
 
 @dataclass(frozen=True)
@@ -507,22 +506,16 @@ def approx_caratheodory(
     dim = float(len(domain.menus))
 
     chosen: list[tuple[LinearOrder, MenuCollectionFamily]] = []
-    vectors: list[np.ndarray] = []
     running = np.zeros_like(target)
+    x = np.zeros_like(target)  # the 2/(t+2)-weighted Frank-Wolfe iterate
     for t in range(k):
         # argmin_v ||(running + v)/(t+1) - target||^2 over vertices reduces
         # to a linear oracle because ||v||^2 is constant across vertices.
-        grad = running - (t + 1.0) * target
-        gradient = {cell: float(g) for cell, g in zip(lattice.cells, grad)}
-        vertex = ru_vertex_lmo(gradient, space, domain)
-        chosen.append(vertex)
-        vectors.append(lattice.ru_vertex(*vertex))
-        running = running + vectors[-1]
-
-    x = np.zeros_like(target)
-    for t, v in enumerate(vectors):
+        order, family, row = lattice.cheapest_ru(running - (t + 1.0) * target)
+        chosen.append((order, family))
+        running = running + row
         step = 2.0 / (t + 2.0)
-        x = (1.0 - step) * x + step * v
+        x = (1.0 - step) * x + step * row
 
     uniform = running / k
     approximation = lattice.choice(uniform)

@@ -225,6 +225,18 @@ class TestDistanceAndCaratheodory:
         assert captured.out == ""
         assert captured.err == "error: cannot enumerate orders on 9 ids (cap is 8)\n"
 
+    @pytest.mark.parametrize("command", [["distance"], ["caratheodory", "--k", "2"]])
+    def test_a_table_without_menus_is_a_usage_error(
+        self, tmp_path, capsys, space, command
+    ):
+        path = tmp_path / "empty.json"
+        save(Manifest(space=space, choice=StochasticChoice(space, {})), str(path))
+        assert json.loads(path.read_text())["stochastic_choice"] == []
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the choice table has no menus\n"
+
     def test_caratheodory_rejects_non_ru(self, lm_violation_path):
         assert main(["caratheodory", "--input", lm_violation_path, "--k", "2"]) == 1
 
@@ -320,6 +332,19 @@ class TestSimulateAndSweep:
         assert "error: composition triples need three comma-separated numbers" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("flag", ["--ux", "--uy", "--uz", "--uw"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "two"])
+    def test_simulate_rejects_a_non_finite_utility_at_the_parse(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", f"{flag}={value}"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite number" in captured.err
+        assert "Warning" not in captured.err
 
     def test_simulate_accepts_decimal_triples(self, capsys):
         assert main(["simulate", "--lambda-x", "0.1,0.2,0.7"]) == 0

@@ -4,8 +4,8 @@ The oracle is checked against the scan it replaced, the argmin of every
 order's score over `order_events`, and `ru_vertex_lmo` against the same
 scan with each menu's best deviation.  Integer-valued gradients have
 exact ties, so both routes must agree on which order comes first, not
-only on the least value.  Carathéodory's vertex rows are checked against
-the tables `vertex_choice` builds.
+only on the least value.  Carathéodory's vertices are checked against
+the tables `vertex_choice` builds and against the scan at each step.
 """
 
 import hashlib
@@ -20,10 +20,12 @@ import pytest
 
 import aggchoice
 from aggchoice import (
+    AggChoiceError,
     AggregateSpace,
     ChoiceDomain,
     LinearOrder,
     MenuCollectionFamily,
+    StochasticChoice,
     approx_caratheodory,
     aru_distance,
     build_nesting_counterexample,
@@ -174,6 +176,15 @@ class TestCaratheodory:
                 np.array([vertex_choice(o, f, domain).prob(m, a) for m, a in cells])
                 for o, f in result.vertices
             ]
+            # Each step's vertex is the scan's on that step's gradient.
+            running = np.zeros(len(cells))
+            for t, (vertex, row) in enumerate(zip(result.vertices, rows)):
+                grad = running - (t + 1.0) * target
+                gradient = {cell: float(g) for cell, g in zip(cells, grad)}
+                order, family = scan_lmo(gradient, space, domain)
+                assert vertex[0] == order
+                assert vertex[1].per_aggregate == family.per_aggregate
+                running = running + row
             uniform = sum(rows, np.zeros(len(cells))) / k
             x = np.zeros(len(cells))
             for t, row in enumerate(rows):
@@ -185,6 +196,30 @@ class TestCaratheodory:
                 m: {a: float(p) for (menu, a), p in zip(cells, uniform) if menu == m}
                 for m in domain.menus
             }
+
+    def test_one_lattice_per_call(self, monkeypatch):
+        built = []
+
+        class Counting(_LatticeCells):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(geometry, "_LatticeCells", Counting)
+        space = make_space(3, 2)
+        rho = gen.vertex_mixture("ru", space, 1, 0, 8).rho
+        approx_caratheodory(rho, 4, space)
+        assert len(built) == 1
+        gradient = {cell: 1.0 for cell in rho.domain().cells()}
+        ru_vertex_lmo(gradient, space, rho.domain())
+        assert len(built) == 2
+
+    def test_a_table_without_menus_is_an_error(self):
+        space = make_space(2, 1)
+        rho = StochasticChoice(space, {})
+        for call in (aru_distance, lambda r, s: approx_caratheodory(r, 2, s)):
+            with pytest.raises(AggChoiceError, match="the choice table has no menus"):
+                call(rho, space)
 
 
 class TestCorral:
