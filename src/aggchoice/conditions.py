@@ -36,6 +36,7 @@ from .model import (
     PreferenceDistribution,
     aru_evaluate,
     forward_evaluate,
+    nonempty_subsets,
     verify_replay,
 )
 from .tolerances import CERTIFICATE_TOL, LP_TOL, MARGINAL_TOL, replay_tol
@@ -114,12 +115,7 @@ def _tuple_space(
         if a not in covered:
             per_aggregate.append([frozenset(members)])
             continue
-        subsets = [
-            frozenset(c)
-            for r in range(1, len(members) + 1)
-            for c in itertools.combinations(members, r)
-        ]
-        per_aggregate.append(subsets)
+        per_aggregate.append(nonempty_subsets(members))
     return list(itertools.product(*per_aggregate))
 
 

@@ -39,6 +39,7 @@ from .model import (
     _check_enumerable,
     all_orders,
     forward_evaluate,
+    nonempty_subsets,
     order_events,
     verify_replay,
 )
@@ -592,22 +593,6 @@ class GridOracleResult:
     candidates_checked: int
 
 
-@dataclass(frozen=True)
-class _MenuPlan:
-    """Search plan for one outside-aggregate menu."""
-
-    menu: Menu
-    candidates: tuple  # per candidate: (weights_by_subset, extra LP rows)
-
-
-def _subset_list(ids: tuple[str, ...]) -> list[frozenset[str]]:
-    out = []
-    for r in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, r):
-            out.append(frozenset(combo))
-    return out
-
-
 def _interior_grid(dim: int, steps: int) -> list[tuple[float, ...]]:
     """Strictly positive rational grid points on the (dim-1)-simplex."""
     if dim == 1:
@@ -627,11 +612,13 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
     feasibility LP over all orders of the extended ground set decides
     each candidate.  Cells that are 0, 1, or equal to their atomic-menu
     anchor admit an exact support-only reduction (the composition
-    weights cancel from their equations), so such menus contribute only
-    one subset choice; remaining menus are gridded at GRID_RESOLUTION
-    (small supports only, by the Caratheodory bound on mixture size).
-    `found` returns a verified witness; `not_found` certifies only that
-    no candidate in the searched family is feasible.
+    weights cancel from their equations), so only a menu's remaining
+    value cells widen its supports (by the Caratheodory bound on
+    mixture size), and support weights are gridded at GRID_RESOLUTION.
+    `TooLarge` is raised from the candidate counts before any candidate
+    is built; the search builds each candidate's LP rows when it visits
+    it.  `found` returns a verified witness; `not_found` certifies only
+    that no candidate in the searched family is feasible.
     """
     space = rho.space
     if len(space.non_atomic) != 1:
@@ -645,9 +632,9 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
 
     synthetic = tuple(f"{outside}#{i}" for i in range(n))
     ground = space.atomic + synthetic
-    subsets = _subset_list(synthetic)
+    subsets = nonempty_subsets(synthetic)
     # Every realized set is a subset of the ground (at most 6 ids).
-    cells = [(s, y) for s in _subset_list(ground) for y in s]
+    cells = [(s, y) for s in nonempty_subsets(ground) for y in s]
     events = order_events(ground, cells)
     row_of = {cell: c for c, cell in enumerate(cells)}
 
@@ -656,26 +643,19 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
         return events[row_of[realized, y]].astype(float)
 
     # Static rows: atomic menus pin the atomic marginals of every order.
-    atomic_rows: list[np.ndarray] = []
-    atomic_rhs: list[float] = []
-    observed_atomic = [m for m in rho.menus if m <= space.atomic_set]
-    for menu in observed_atomic:
-        for a in space.sort(menu):
-            atomic_rows.append(event_row(menu, a))
-            atomic_rhs.append(rho.prob(menu, a))
+    base_rows = [
+        (event_row(menu, a), rho.prob(menu, a))
+        for menu in rho.menus
+        if menu <= space.atomic_set
+        for a in space.sort(menu)
+    ]
 
-    plans: list[_MenuPlan] = []
-    mixed_menus = [m for m in rho.menus if outside in m]
-    for menu in mixed_menus:
+    def plan(menu: Menu):
+        """The candidate count of an outside-aggregate menu and its
+        candidate generator.  Each candidate is its weights by subset
+        and its LP rows: each support subset's zero, one and anchor
+        rows, then one mixture row per value cell."""
         atoms = menu & space.atomic_set
-        if not atoms:
-            # Composition is irrelevant when only the outside aggregate
-            # is present; fix it to the full set.
-            full = frozenset(synthetic)
-            plans.append(
-                _MenuPlan(menu, (({full: 1.0}, (), ()),))
-            )
-            continue
         targets = {y: rho.prob(menu, y) for y in space.sort(atoms)}
         anchored = atoms in set(rho.menus)
 
@@ -691,60 +671,48 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
 
         kinds = {y: classify(y) for y in targets}
         value_cells = [y for y, kind in kinds.items() if kind == "value"]
+        # Without atomic ids the composition is irrelevant: fix it to
+        # the full set.
+        sets = subsets if atoms else [frozenset(synthetic)]
+        sizes = range(1, min(len(value_cells) + 1, len(sets)) + 1)
+        # A support of size k has C(steps - 1, k - 1) interior weights.
+        count = sum(
+            math.comb(len(sets), k) * math.comb(steps - 1, k - 1) for k in sizes
+        )
 
-        def per_subset_rows(
-            s: frozenset[str],
-        ) -> tuple[tuple[np.ndarray, float], ...]:
+        def subset_rows(s: frozenset[str]) -> list[tuple[np.ndarray, float]]:
             realized = atoms | s
             rows = []
             for y, kind in kinds.items():
-                if kind == "zero":
-                    rows.append((event_row(realized, y), 0.0))
-                elif kind == "one":
-                    rows.append((event_row(realized, y), 1.0))
-                elif kind == "anchor":
-                    diff = event_row(realized, y) - event_row(frozenset(atoms), y)
+                if kind == "anchor":
+                    diff = event_row(realized, y) - event_row(atoms, y)
                     rows.append((diff, 0.0))
-            return tuple(rows)
+                elif kind != "value":
+                    rows.append((event_row(realized, y), float(kind == "one")))
+            return rows
 
-        if not value_cells:
-            candidates = []
-            for s in subsets:
-                candidates.append(({s: 1.0}, per_subset_rows(s), ()))
-            plans.append(_MenuPlan(menu, tuple(candidates)))
-            continue
+        def candidates():
+            for size in sizes:
+                for support in itertools.combinations(sets, size):
+                    for weights in _interior_grid(size, steps):
+                        lam = dict(zip(support, weights))
+                        rows = [row for s in support for row in subset_rows(s)]
+                        for y in value_cells:
+                            mixed = sum(
+                                w * event_row(atoms | s, y) for s, w in lam.items()
+                            )
+                            rows.append((mixed, targets[y]))
+                        yield lam, rows
 
-        # Value menu: enumerate small supports with gridded weights; the
-        # mixture rows couple the weights with the order distribution.
-        max_support = min(len(value_cells) + 1, len(subsets))
-        candidates = []
-        for size in range(1, max_support + 1):
-            for support in itertools.combinations(subsets, size):
-                for weights in _interior_grid(size, steps):
-                    lam = dict(zip(support, weights))
-                    fixed_rows = tuple(
-                        item for s in support for item in per_subset_rows(s)
-                    )
-                    mixture_rows = []
-                    for y in value_cells:
-                        row = sum(
-                            w * event_row(atoms | s, y) for s, w in lam.items()
-                        )
-                        mixture_rows.append((row, targets[y]))
-                    candidates.append((lam, fixed_rows, tuple(mixture_rows)))
-        plans.append(_MenuPlan(menu, tuple(candidates)))
+        return count, menu, candidates
 
-    total = 1
-    for plan in plans:
-        total *= max(len(plan.candidates), 1)
-        if total > GRID_BUDGET:
-            raise TooLarge(
-                f"candidate space exceeds the oracle budget ({GRID_BUDGET})"
-            )
+    plans = [plan(menu) for menu in rho.menus if outside in menu]
+    if math.prod(max(count, 1) for count, _, _ in plans) > GRID_BUDGET:
+        raise TooLarge(f"candidate space exceeds the oracle budget ({GRID_BUDGET})")
 
     # Depth-first search, cheapest plans first, with zero-propagation
     # pruning before each feasibility LP.
-    plans.sort(key=lambda p: (len(p.candidates), space.menu_key(p.menu)))
+    plans.sort(key=lambda p: (p[0], space.menu_key(p[1])))
     n_orders = events.shape[1]
     checked = 0
 
@@ -769,25 +737,24 @@ def grid_oracle_ru_n(rho: StochasticChoice, n: int) -> GridOracleResult:
             return None
         return {int(keep[j]): w for j, w in support.items()}
 
-    base_rows = list(zip(atomic_rows, atomic_rhs))
     assignment: dict[Menu, dict[frozenset[str], float]] = {}
 
     def dfs(level: int, rows: list) -> dict[int, float] | None:
         """The support of the first feasible leaf below, from its own solve."""
         nonlocal checked
-        plan = plans[level]
-        for lam, fixed_rows, mixture_rows in plan.candidates:
+        _, menu, candidates = plans[level]
+        for lam, candidate_rows in candidates():
             checked += 1
-            new_rows = rows + list(fixed_rows) + list(mixture_rows)
+            new_rows = rows + candidate_rows
             result = solve(new_rows)
             if result is None:
                 continue
-            assignment[plan.menu] = lam
+            assignment[menu] = lam
             if level + 1 < len(plans):
                 result = dfs(level + 1, new_rows)
             if result is not None:
                 return result
-            del assignment[plan.menu]
+            del assignment[menu]
         return None
 
     support = dfs(0, base_rows) if plans else solve(base_rows)

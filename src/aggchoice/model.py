@@ -41,6 +41,15 @@ Menu = frozenset[str]
 MAX_ENUMERATION_GROUND = 8
 
 
+def nonempty_subsets(ids: Sequence[str]) -> list[frozenset[str]]:
+    """Every nonempty subset of `ids`, by size, then in combinations order."""
+    return [
+        frozenset(c)
+        for r in range(1, len(ids) + 1)
+        for c in itertools.combinations(ids, r)
+    ]
+
+
 def _validate_simplex(weights: Mapping, what: str) -> dict:
     """Check finiteness, nonnegativity and total mass, renormalizing tiny drift."""
     cleaned = {}
@@ -200,23 +209,14 @@ class ChoiceDomain:
     @staticmethod
     def full(space: AggregateSpace) -> "ChoiceDomain":
         """All nonempty subsets of the aggregate space."""
-        ids = space.members
-        menus = [
-            frozenset(c)
-            for r in range(1, len(ids) + 1)
-            for c in itertools.combinations(ids, r)
-        ]
-        return ChoiceDomain(space, tuple(menus))
+        return ChoiceDomain(space, tuple(nonempty_subsets(space.members)))
 
     @staticmethod
     def all_containing(space: AggregateSpace, aggregate: str) -> "ChoiceDomain":
         """All menus that contain a given aggregate (default-option domain)."""
         rest = [a for a in space.members if a != aggregate]
-        menus = [
-            frozenset(c) | {aggregate}
-            for r in range(0, len(rest) + 1)
-            for c in itertools.combinations(rest, r)
-        ]
+        menus = [frozenset({aggregate})]
+        menus += [s | {aggregate} for s in nonempty_subsets(rest)]
         return ChoiceDomain(space, tuple(menus))
 
 

@@ -346,6 +346,11 @@ class TestSimulateAndSweep:
         assert f"argument {flag}: must be a finite number" in captured.err
         assert "Warning" not in captured.err
 
+    def test_simulate_takes_a_negative_exponent_after_an_equals_sign(self, capsys):
+        # "--ux -1e5" is read as a second option; "--ux=-1e5" is a value.
+        assert main(["simulate", "--ux=-1e5"]) == 0
+        assert json.loads(capsys.readouterr().out)["utilities"]["x"] == -100000.0
+
     def test_simulate_accepts_decimal_triples(self, capsys):
         assert main(["simulate", "--lambda-x", "0.1,0.2,0.7"]) == 0
 

@@ -12,6 +12,7 @@ from aggchoice import (
     LinearOrder,
     MenuCollectionFamily,
     NotRURational,
+    PreferenceDistribution,
     StochasticChoice,
     TooLarge,
     approx_caratheodory,
@@ -282,12 +283,14 @@ class TestNestingCounterexample:
         rho = build_nesting_counterexample(space)
         assert check_ru_rational(rho, space).passed
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_not_found_at_m(self, m):
+    @pytest.mark.parametrize("m, checked", [(2, 25), (3, 351)])
+    def test_not_found_at_m(self, m, checked):
         space = AggregateSpace(tuple(f"y{i}" for i in range(1, m + 1)), (A0,))
         rho = build_nesting_counterexample(space)
         result = grid_oracle_ru_n(rho, m)
         assert not result.found
+        # The full search visits the whole candidate family.
+        assert result.candidates_checked == checked
 
     def test_found_at_m_plus_one_for_m2(self):
         space = AggregateSpace(("y1", "y2"), (A0,))
@@ -346,3 +349,21 @@ class TestGridOracle:
         rho = build_nesting_counterexample(space)
         with pytest.raises(TooLarge):
             grid_oracle_ru_n(rho, 2)
+
+    def test_budget_fires_before_any_candidate_is_built(self, monkeypatch):
+        # Generic data at the documented caps: every cell of the grand
+        # menu is a value cell, so its 687,036 candidates alone would
+        # hold about 12 GB of LP rows.
+        import aggchoice.geometry as geometry
+
+        def no_candidates(*args):
+            raise AssertionError("a candidate was built")
+
+        space = AggregateSpace(("y1", "y2", "y3"), (A0,))
+        orders = [LinearOrder(p) for p in itertools.permutations(space.members)]
+        weights = np.random.default_rng(0).random(24) + 0.05
+        prefs = PreferenceDistribution(dict(zip(orders, weights / weights.sum())))
+        rho = aru_evaluate(prefs, ChoiceDomain.full(space))
+        monkeypatch.setattr(geometry, "_interior_grid", no_candidates)
+        with pytest.raises(TooLarge, match="oracle budget"):
+            grid_oracle_ru_n(rho, 3)
