@@ -2,10 +2,15 @@
 
 All the linear programs in this library are feasibility questions of the
 form ``A x = b, x >= 0`` with a few dozen rows and at most a few thousand
-columns (orders of a small ground set).  A dense tableau with Bland's
-pivoting rule is exact enough at this scale and, unlike an external
-solver, bit-deterministic: the same input always yields the same basic
-feasible point, so returned certificates are reproducible.
+columns (orders of a small ground set).  A dense tableau is exact enough
+at this scale and, unlike an external solver, bit-deterministic: the same
+input always yields the same basic feasible point, so returned
+certificates are reproducible.  The entering column is the most negative
+reduced cost (Dantzig's rule) while the objective moves, and the smallest
+eligible index (Bland's rule) after a degenerate pivot, until it moves
+again.  Any cycle revisits a basis at an unchanged objective, so all but
+its first pivot would be Bland pivots, and Bland's rule cannot cycle
+(Bland 1977, Math. Oper. Res.).
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ class FeasibilityResult:
     """The verdict, the point and how it was reached.
 
     `residual` is the phase-1 objective (the artificial mass left),
-    `pivots` the number of Bland pivots, and `max_residual` the largest
-    ``|a @ x - b|`` of the returned point (0.0 when there is none).
+    `pivots` the number of simplex pivots, `max_residual` the largest
+    ``|a @ x - b|`` of the returned point (0.0 when there is none), and
+    `bland_pivots` how many of the pivots Bland's fallback chose, after
+    a pivot that left the objective unchanged.
     """
 
     feasible: bool
@@ -40,6 +47,7 @@ class FeasibilityResult:
     residual: float
     pivots: int = 0
     max_residual: float = 0.0
+    bland_pivots: int = 0
 
 
 def solve_feasibility(
@@ -47,10 +55,11 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Find x >= 0 with ``a @ x = b``, or report infeasibility.
 
-    Runs phase-1 simplex (minimize the sum of artificial variables) with
-    Bland's anti-cycling rule.  Feasible iff the optimal artificial mass
-    is at most `tol`; the returned point is the first basic feasible
-    solution the deterministic pivot order reaches.  That point is
+    Runs phase-1 simplex (minimize the sum of artificial variables),
+    pricing by Dantzig's rule with Bland's rule after degenerate pivots.
+    Feasible iff the optimal artificial mass is at most `tol`; the
+    returned point is the first basic feasible solution the
+    deterministic pivot order reaches.  That point is
     checked before it is returned: a negative entry or a row of
     ``a @ x - b`` off by more than `tol` raises `NoConvergence`.
     """
@@ -58,9 +67,11 @@ def solve_feasibility(
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError("b must match the row count of a")
-    x, residual, pivots = _phase_one(a, b)
+    x, residual, pivots, bland_pivots = _phase_one(a, b)
     if residual > tol:
-        return FeasibilityResult(False, None, residual, pivots)
+        return FeasibilityResult(
+            False, None, residual, pivots, bland_pivots=bland_pivots
+        )
     if not (x >= 0.0).all():
         raise NoConvergence("simplex point has a negative or undefined entry")
     # A basic point has at most one nonzero per row.  Multiplying only
@@ -71,7 +82,7 @@ def solve_feasibility(
         raise NoConvergence(
             f"simplex point misses a @ x = b by {miss!r} (tolerance {tol!r})"
         )
-    return FeasibilityResult(True, x, max(residual, 0.0), pivots, miss)
+    return FeasibilityResult(True, x, max(residual, 0.0), pivots, miss, bland_pivots)
 
 
 def solve_mixture(
@@ -97,11 +108,13 @@ def solve_mixture(
     return result, {j: w / total for j, w in support.items()}
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Phase-1 simplex: final basic point, artificial mass and pivot count.
+def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+    """Phase-1 simplex: final basic point, artificial mass, pivot counts.
 
-    The tableau holds no artificial columns.  Bland's rule never reads
-    them: a basic artificial's column is a unit vector with reduced cost
+    The counts are all pivots and those chosen by Bland's fallback.
+
+    The tableau holds no artificial columns.  Neither rule reads them: a
+    basic artificial's column is a unit vector with reduced cost
     exactly 0, and one that leaves the basis may never re-enter.  Basis
     entries ``n + r`` still name the artificial of row r, so ties in the
     ratio test break as if the columns were there.
@@ -122,14 +135,20 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
 
     step = max(1, BLOCK_BYTES // tab[0].nbytes)
     basis = list(range(n, n + m))
-    pivots = 0
+    pivots = bland_pivots = 0
+    bland = False
     while True:
-        candidates = np.flatnonzero(tab[m, :n] < -PIVOT_TOL)
+        costs = tab[m, :n]
+        candidates = np.flatnonzero(costs < -PIVOT_TOL)
         if candidates.size == 0:
             break
         if pivots == _MAX_PIVOTS:
             raise NoConvergence("simplex pivot cap exceeded")
-        col = int(candidates[0])  # Bland: smallest eligible index
+        if bland:
+            col = int(candidates[0])  # smallest eligible index
+            bland_pivots += 1
+        else:
+            col = int(np.argmin(costs))  # most negative, lowest index on ties
         ratios = np.full(m, np.inf)
         positive = tab[:m, col] > PIVOT_TOL
         ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
@@ -139,8 +158,9 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
             # treat defensively as a failed pivot.
             break
         tied = np.flatnonzero(ratios <= best + PIVOT_TOL * (1 + abs(best)))
-        row = int(min(tied, key=lambda r: basis[r]))  # Bland on ties
+        row = int(min(tied, key=lambda r: basis[r]))  # lowest basis index on ties
 
+        objective = tab[m, -1]
         pivot_row = tab[row]
         pivot_row /= pivot_row[col]
         for start, stop in ((0, row), (row + 1, m + 1)):
@@ -149,9 +169,12 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
                 block -= np.outer(block[:, col], pivot_row)
         basis[row] = col
         pivots += 1
+        # A degenerate pivot leaves the objective where it was; Bland's
+        # rule then chooses until it moves again.
+        bland = not tab[m, -1] > objective
 
     x = np.zeros(n)
     for r, j in enumerate(basis):
         if j < n:
             x[j] = max(tab[r, -1], 0.0)
-    return x, float(-tab[m, -1]), pivots
+    return x, float(-tab[m, -1]), pivots, bland_pivots

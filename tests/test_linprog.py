@@ -5,10 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aggchoice import NoConvergence, linprog
+from aggchoice import (
+    AggregateSpace,
+    ChoiceDomain,
+    LinearOrder,
+    NoConvergence,
+    PreferenceDistribution,
+    linprog,
+)
+from aggchoice.axioms import CERTIFICATE_TOL, check_aru_rational
 from aggchoice.linprog import solve_feasibility, solve_mixture
-from aggchoice.model import order_events
+from aggchoice.model import aru_evaluate, order_events
 
 
 def test_feasible_system():
@@ -88,7 +98,7 @@ def test_random_feasible_batch():
 )
 def test_returned_point_is_checked(monkeypatch, point):
     monkeypatch.setattr(
-        linprog, "_phase_one", lambda a, b: (np.array(point), 0.0, 1)
+        linprog, "_phase_one", lambda a, b: (np.array(point), 0.0, 1, 0)
     )
     with pytest.raises(NoConvergence):
         solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-9)
@@ -96,7 +106,7 @@ def test_returned_point_is_checked(monkeypatch, point):
 
 def test_point_check_uses_callers_tolerance(monkeypatch):
     monkeypatch.setattr(
-        linprog, "_phase_one", lambda a, b: (np.array([1.0 + 1e-8, 0.0]), 0.0, 1)
+        linprog, "_phase_one", lambda a, b: (np.array([1.0 + 1e-8, 0.0]), 0.0, 1, 0)
     )
     result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([1.0]), tol=1e-7)
     assert result.feasible
@@ -110,7 +120,7 @@ def test_point_check_does_not_cast_a_boolean_matrix(monkeypatch):
     x = np.zeros(a.shape[1])
     x[[3, 1000, 2999]] = (0.5, 0.25, 0.25)
     b = a.astype(float) @ x
-    monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (x.copy(), 0.0, 1))
+    monkeypatch.setattr(linprog, "_phase_one", lambda a, b: (x.copy(), 0.0, 1, 0))
     tracemalloc.start()
     try:
         result = solve_feasibility(a, b)
@@ -122,9 +132,11 @@ def test_point_check_does_not_cast_a_boolean_matrix(monkeypatch):
 
 
 # Golden outputs of the phase-1 simplex.  The pivot sequence is fixed by
-# Bland's rule, so a rewrite that does the same float operations returns
-# the same bytes; a changed digest means a changed pivot or rounding.
-# The systems are built from exact formulas, not a random generator.
+# the pricing rule (Dantzig's, with Bland's after a degenerate pivot) and
+# the ratio test's smallest-basis-index tie-break, so a rewrite that does
+# the same float operations returns the same bytes and pivot counts; a
+# changed digest or count means a changed pivot or rounding.  The systems
+# are built from exact formulas, not a random generator.
 
 
 def _digest(x):
@@ -175,37 +187,46 @@ def _infeasible_system():
 
 
 @pytest.mark.parametrize(
-    "system, digest, residual",
+    "system, digest, residual, pivots, bland_pivots",
     [
         (
             _aru_event_system,
             "dc8452539308256872e4e128120a7b022c0fd321b7c892a9c5134c8d87e2e116",
             "-0.0",
+            30,
+            23,
         ),
         (
             _aru_bool_system,
             "dc8452539308256872e4e128120a7b022c0fd321b7c892a9c5134c8d87e2e116",
             "-0.0",
+            30,
+            23,
         ),
         (
             _negative_rhs_system,
-            "a4a3fa7e7e6a9b2d9305d674ff073ab08ea5cc506303767b587aa33f6ff73a5d",
-            "4.440892098500626e-16",
+            "5e3099cf1fe1daae3bb249e897fd4d1f7c751f1d6b066d12847c48f506195f86",
+            "2.220446049250313e-16",
+            7,
+            2,
         ),
         (
             _degenerate_system,
             "615aa11e2e8f65896d61dda86c67c5e4a2f8da89cc86df6619c5d733b222c0fb",
             "-0.0",
+            8,
+            3,
         ),
     ],
     ids=["aru-5", "aru-5-bool", "negative-rhs", "degenerate"],
 )
-def test_golden_feasible_points(system, digest, residual):
+def test_golden_feasible_points(system, digest, residual, pivots, bland_pivots):
     a, b = system()
     result = solve_feasibility(a, b)
     assert result.feasible
     assert _digest(result.x) == digest
     assert repr(result.residual) == residual
+    assert (result.pivots, result.bland_pivots) == (pivots, bland_pivots)
 
 
 def test_golden_infeasible_residual():
@@ -213,12 +234,155 @@ def test_golden_infeasible_residual():
     result = solve_feasibility(a, b)
     assert not result.feasible
     assert result.x is None
-    assert repr(result.residual) == "2.2083333333333335"
+    assert repr(result.residual) == "2.208333333333333"
+    assert (result.pivots, result.bland_pivots) == (3, 0)
 
 
 def test_golden_systems_exercise_their_cases():
     assert (_negative_rhs_system()[1] < 0).sum() == 4
     assert (_degenerate_system()[1] == 0).sum() == 2
+
+
+def _bland_phase_one(a, b):
+    """The reference rule: Bland's smallest eligible index on every pivot.
+
+    The same tableau and ratio test as `linprog._phase_one`, with the
+    whole tableau updated at once.  Returns the point, the artificial
+    mass and the pivot count.
+    """
+    m, n = a.shape
+    flip = b < 0
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = np.where(flip[:, None], -a, a)
+    tab[:m, -1] = np.abs(b)
+    tab[m, :n] = -tab[:m, :n].sum(axis=0)
+    tab[m, -1] = -tab[:m, -1].sum()
+    basis = list(range(n, n + m))
+    pivots = 0
+    while True:
+        candidates = np.flatnonzero(tab[m, :n] < -linprog.PIVOT_TOL)
+        if candidates.size == 0:
+            break
+        col = int(candidates[0])
+        ratios = np.full(m, np.inf)
+        positive = tab[:m, col] > linprog.PIVOT_TOL
+        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
+        best = ratios.min()
+        if not np.isfinite(best):
+            break
+        tied = np.flatnonzero(ratios <= best + linprog.PIVOT_TOL * (1 + abs(best)))
+        row = int(min(tied, key=lambda r: basis[r]))
+        pivot_row = tab[row] / tab[row, col]
+        tab -= np.outer(tab[:, col], pivot_row)
+        tab[row] = pivot_row
+        basis[row] = col
+        pivots += 1
+    x = np.zeros(n)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = max(tab[r, -1], 0.0)
+    return x, float(-tab[m, -1]), pivots
+
+
+@pytest.mark.parametrize(
+    "system, digest, residual, pivots",
+    [
+        (
+            _negative_rhs_system,
+            "a4a3fa7e7e6a9b2d9305d674ff073ab08ea5cc506303767b587aa33f6ff73a5d",
+            "4.440892098500626e-16",
+            6,
+        ),
+        (_infeasible_system, None, "2.2083333333333335", 6),
+    ],
+    ids=["negative-rhs", "infeasible"],
+)
+def test_bland_reference_reproduces_the_bland_only_goldens(
+    system, digest, residual, pivots
+):
+    # The digests and residuals the simplex returned when it priced by
+    # Bland's rule alone: the reference is that loop.
+    x, mass, count = _bland_phase_one(*system())
+    if digest is not None:
+        assert _digest(x) == digest
+    assert (repr(mass), count) == (residual, pivots)
+
+
+@st.composite
+def _small_systems(draw):
+    """Small integer systems of four kinds; `infeasible` ones are so by design."""
+    kind = draw(st.sampled_from(["zero-one", "integer", "negative-rhs", "infeasible"]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    lo = 0 if kind == "zero-one" else -3
+    hi = 1 if kind == "zero-one" else 3
+    entries = draw(st.lists(st.integers(lo, hi), min_size=m * n, max_size=m * n))
+    a = np.array(entries, dtype=float).reshape(m, n)
+    x = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    if kind == "zero-one":
+        x *= np.arange(n) % 2  # sparse points leave zero right-hand sides
+    if kind == "negative-rhs":
+        a[: max(1, m // 2)] = -np.abs(a[: max(1, m // 2)])
+    b = a @ x
+    if kind == "integer" and draw(st.booleans()):
+        b = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), float)
+    if kind == "infeasible":
+        # A row that sums the others with a right-hand side one too large.
+        a = np.vstack([a, a.sum(axis=0)])
+        b = np.append(b, b.sum() + 1.0)
+    return kind, a, b
+
+
+@given(system=_small_systems())
+@settings(max_examples=300, deadline=None)
+def test_pricing_rule_keeps_the_bland_verdict(system):
+    kind, a, b = system
+    result = solve_feasibility(a, b)
+    _, mass, _ = _bland_phase_one(a, b)
+    assert result.feasible == (mass <= linprog.LP_TOL)
+    if kind == "infeasible":
+        assert not result.feasible
+    if result.feasible:
+        assert (result.x >= 0.0).all()
+        assert np.abs(a @ result.x - b).max(initial=0.0) <= linprog.LP_TOL
+    assert 0 <= result.bland_pivots <= result.pivots
+
+
+def test_interior_aru_lp_pivot_count(monkeypatch):
+    """All 720 orders of 6 ids with positive weight: the ARU LP's interior case.
+
+    Pinned as pivot counts, not timings: Dantzig's rule takes about a
+    quarter of the pivots Bland's rule takes on this system.
+    """
+    space = AggregateSpace(("a", "b", "c", "d", "e"), ("o",))
+    orders = [LinearOrder(p) for p in itertools.permutations(space.members)]
+    weights = np.random.default_rng(0).random(len(orders)) + 0.05
+    weights /= weights.sum()
+    prefs = PreferenceDistribution(
+        {o: float(w) for o, w in zip(orders, weights)}
+    )
+    rho = aru_evaluate(prefs, ChoiceDomain.full(space))
+
+    solved = []
+
+    def spy(rows, rhs, tol):
+        solved.append((rows, rhs))
+        result, support = solve_mixture(rows, rhs, tol)
+        solved.append(result)
+        return result, support
+
+    monkeypatch.setattr(linprog, "solve_mixture", spy)
+    report = check_aru_rational(rho, space)
+    assert report.passed and report.method == "lp"
+    replay = aru_evaluate(report.certificate, ChoiceDomain.full(space))
+    assert replay.max_cell_difference(rho) <= CERTIFICATE_TOL
+
+    (rows, rhs), result = solved
+    assert rows.shape == (192, 720)
+    assert (result.pivots, result.bland_pivots) == (222, 0)
+    a = np.vstack([rows, np.ones((1, rows.shape[1]), dtype=rows.dtype)])
+    _, mass, bland_only = _bland_phase_one(a.astype(float), np.append(rhs, 1.0))
+    assert mass <= linprog.LP_TOL
+    assert bland_only == 883
 
 
 def test_verdicts_agree_with_highs():
