@@ -395,30 +395,43 @@ class _Corral:
         self.dots = self.dots[keep]
 
 
-def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult:
-    """Squared Euclidean distance from the data to the ARU polytope.
+@dataclass(frozen=True)
+class _FrankWolfeRun:
+    """Where `_frank_wolfe` stopped: the active orders (positions, best
+    first) and their weights, the point they mix to, its squared distance
+    to the target, the last duality gap, and the squared distance at the
+    start of each iteration."""
 
-    Fully corrective Frank-Wolfe: each step adds the vertex minimizing
-    the linearized objective, found by a shortest path on the subset
-    lattice (no order is enumerated), then re-solves the least-squares
-    problem over the active vertices by Wolfe's minor cycles.  The start
-    is the nearest vertex: every vertex has one cell per menu, hence the
-    same norm, so it is the first order, in `all_orders` order, that
-    maximizes v . target.  Stops at duality gap GAP_TOL; hitting the
-    iteration cap (MAX_FW_ITERATIONS) is reported in the result, never
-    silent.
+    orders: list[tuple[int, ...]]
+    weights: np.ndarray
+    point: np.ndarray
+    squared_distance: float
+    gap: float
+    trace: tuple[float, ...]
+
+    @property
+    def hit_iteration_cap(self) -> bool:
+        return self.gap > GAP_TOL
+
+
+def _frank_wolfe(lattice: _LatticeCells, target: np.ndarray) -> _FrankWolfeRun:
+    """Fully corrective Frank-Wolfe toward `target`, the cell values.
+
+    Each step adds the vertex minimizing the linearized objective, found
+    by a shortest path on the subset lattice (no order is enumerated),
+    then re-solves the least-squares problem over the active vertices by
+    Wolfe's minor cycles.  The start is the nearest vertex: every vertex
+    has one cell per menu, hence the same norm, so it is the first order,
+    in `all_orders` order, that maximizes v . target.  Stops at duality
+    gap GAP_TOL or after MAX_FW_ITERATIONS iterations.
     """
-    domain = rho.domain()
-    lattice = _LatticeCells(space, domain)
-    target = lattice.values(rho)
-    corral = _Corral(target, len(domain.menus))
+    corral = _Corral(target, len(lattice.starts))  # one start per menu
     start, _ = lattice.cheapest(-target)
     weights = corral.enter(start, lattice.vertex(start), np.empty(0))
     weights = corral.descend(weights)
     gap = math.inf
-    iterations = 0
     trace: list[float] = []
-    for iterations in range(1, MAX_FW_ITERATIONS + 1):
+    for _ in range(MAX_FW_ITERATIONS):
         x = weights @ corral.rows
         offset = x - target
         trace.append(float(offset @ offset))
@@ -433,20 +446,34 @@ def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult
 
     x = weights @ corral.rows
     offset = x - target
+    return _FrankWolfeRun(
+        corral.orders, weights, x, float(offset @ offset), gap, tuple(trace)
+    )
+
+
+def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult:
+    """Squared Euclidean distance from the data to the ARU polytope.
+
+    Runs `_frank_wolfe` from the data's cell values.  Hitting the
+    iteration cap (MAX_FW_ITERATIONS) is reported in the result, never
+    silent.
+    """
+    lattice = _LatticeCells(space, rho.domain())
+    run = _frank_wolfe(lattice, lattice.values(rho))
     members = space.members
     mixture = {
         LinearOrder(tuple(members[k] for k in order)): float(w)
-        for order, w in zip(corral.orders, weights)
+        for order, w in zip(run.orders, run.weights)
     }
     return DistanceResult(
-        squared_distance=float(offset @ offset),
+        squared_distance=run.squared_distance,
         mixture=mixture,
-        projection=lattice.choice(x),
-        duality_gap=gap,
-        lower_bound=trace[-1] - gap,
-        iterations=iterations,
-        hit_iteration_cap=gap > GAP_TOL,
-        objective_trace=tuple(trace),
+        projection=lattice.choice(run.point),
+        duality_gap=run.gap,
+        lower_bound=run.trace[-1] - run.gap,
+        iterations=len(run.trace),
+        hit_iteration_cap=run.hit_iteration_cap,
+        objective_trace=run.trace,
     )
 
 

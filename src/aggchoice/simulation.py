@@ -20,7 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingUtility, NoConvergence, NotIdentified
-from .geometry import aru_distance
+from .geometry import _frank_wolfe, _LatticeCells
+# Unused here, but bench/tracing.py patches this name at this import site.
+from .geometry import aru_distance  # noqa: F401
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -52,6 +54,21 @@ def logit_choice(utilities: UtilityMap, menu: Iterable[str]) -> dict[str, float]
     return {i: float(p) for i, p in zip(items, weights)}
 
 
+def _menu_row(
+    utilities: UtilityMap,
+    owner: Mapping[str, str],
+    menu: Menu,
+    realized: Iterable[tuple[float, list[str]]],
+) -> dict[str, float]:
+    """One menu's row: each realized set's softmax mass, times the set's
+    weight, summed within each aggregate, set by set in `realized` order."""
+    row = {a: 0.0 for a in menu}
+    for w, ids in realized:
+        for x, p in logit_choice(utilities, ids).items():
+            row[owner[x]] += w * p
+    return row
+
+
 def reduce_dataset(
     utilities: UtilityMap,
     correspondence: AggregationCorrespondence,
@@ -65,17 +82,13 @@ def reduce_dataset(
     the realized set's softmax mass is summed within each aggregate.
     Tuples are checked as `forward_evaluate` checks them.
     """
-    space = correspondence.space
     owner = correspondence.owner_map()
     table: dict[Menu, dict[str, float]] = {}
     for menu in menus:
         menu = frozenset(menu)
-        row = {a: 0.0 for a in menu}
-        for w, realized in realizations(menu, correspondence, composition):
-            for x, p in logit_choice(utilities, realized).items():
-                row[owner[x]] += w * p
-        table[menu] = row
-    return StochasticChoice(space, table)
+        realized = realizations(menu, correspondence, composition)
+        table[menu] = _menu_row(utilities, owner, menu, realized)
+    return StochasticChoice(correspondence.space, table)
 
 
 def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
@@ -100,38 +113,57 @@ def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
     return sorted(aggregates - {pinned})
 
 
+class _Likelihood:
+    """Log likelihood of a table over sorted free params.
+
+    The menu layout (each menu's items sorted, their shares, and the
+    params among them) is built once, for every evaluation of a fit.
+    """
+
+    def __init__(self, rho: StochasticChoice, params: Sequence[str]):
+        index = {a: i for i, a in enumerate(params)}
+        self.size = len(params)
+        self.menus = []
+        for menu in rho.menus:
+            items = sorted(menu)
+            shares = [rho.prob(menu, a) for a in items]
+            slots = [index.get(a) for a in items]
+            free = [(i, slot) for i, slot in enumerate(slots) if slot is not None]
+            self.menus.append((items, shares, slots, free))
+
+    def __call__(
+        self, values: Mapping[str, float]
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Log likelihood, gradient and Hessian at `values`.
+
+        Utilities missing from `values` are 0.  One pass over the menus.
+        """
+        ll = 0.0
+        grad = np.zeros(self.size)
+        hess = np.zeros((self.size, self.size))
+        for items, shares, slots, free in self.menus:
+            u = np.array([values.get(a, 0.0) for a in items])
+            u = u - u.max()
+            p = np.exp(u)
+            total = p.sum()
+            logits = (u - math.log(total)).tolist()
+            p = (p / total).tolist()
+            for lp, pa, share, slot in zip(logits, p, shares, slots):
+                if share > 0.0:
+                    ll += share * lp
+                if slot is not None:
+                    grad[slot] += share - pa
+            for i, gi in free:
+                for j, gj in free:
+                    hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
+        return ll, grad, hess
+
+
 def _log_likelihood(
     rho: StochasticChoice, values: Mapping[str, float]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log likelihood, gradient and Hessian over the sorted free params.
-
-    Utilities missing from `values` are 0.  One pass over the menus.
-    """
-    params = sorted(values)
-    index = {a: i for i, a in enumerate(params)}
-    ll = 0.0
-    grad = np.zeros(len(params))
-    hess = np.zeros((len(params), len(params)))
-    for menu in rho.menus:
-        items = sorted(menu)
-        u = np.array([values.get(a, 0.0) for a in items])
-        u = u - u.max()
-        p = np.exp(u)
-        total = p.sum()
-        logits = u - math.log(total)
-        p /= total
-        for a, lp, pa in zip(items, logits, p):
-            share = rho.prob(menu, a)
-            if share > 0.0:
-                ll += share * lp
-            if a in index:
-                grad[index[a]] += share - pa
-        free = [i for i, a in enumerate(items) if a in index]
-        for i in free:
-            for j in free:
-                gi, gj = index[items[i]], index[items[j]]
-                hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
-    return ll, grad, hess
+    """Log likelihood, gradient and Hessian over the sorted keys of `values`."""
+    return _Likelihood(rho, sorted(values))(values)
 
 
 #: The aggregate whose utility the aggregated-logit fit pins to 0.
@@ -152,7 +184,8 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
     values = {a: 0.0 for a in free}
     if not free:
         return {PINNED: 0.0}
-    current, grad, hess = _log_likelihood(rho, values)
+    log_likelihood = _Likelihood(rho, free)
+    current, grad, hess = log_likelihood(values)
     for _ in range(MAX_NEWTON_ITERATIONS):
         if np.abs(grad).max() <= GRADIENT_TOL:
             return {**values, PINNED: 0.0}
@@ -163,7 +196,7 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = {a: values[a] + scale * s for a, s in zip(free, step)}
-            evaluated = _log_likelihood(rho, trial)
+            evaluated = log_likelihood(trial)
             if evaluated[0] >= current - ASCENT_SLACK:
                 values = trial
                 current, grad, hess = evaluated
@@ -289,6 +322,67 @@ class SimulatedPoint:
     squared_distance: float | None
 
 
+class _World:
+    """The world of `make_world`, built once for many simulated points.
+
+    It holds the space, correspondence, domain, owner map and the
+    domain's lattice cells, and each distinct set of market triples'
+    realized sets per menu.  A point then costs only its softmax sums,
+    its validated table, the market fit and the Frank-Wolfe run.  The
+    lattice's work arrays are reused, so one world serves one caller at
+    a time.
+    """
+
+    def __init__(self):
+        self.space, self.correspondence, self.domain = make_world()
+        self.owner = self.correspondence.owner_map()
+        self.lattice = _LatticeCells(self.space, self.domain)
+        self._realized: dict[frozenset, list] = {}
+
+    def realized(
+        self, triples: Mapping[Menu, Sequence[float]]
+    ) -> list[tuple[Menu, list[tuple[float, list[str]]]]]:
+        """Each domain menu with its weighted realized sets at `triples`."""
+        key = frozenset((frozenset(m), tuple(t)) for m, t in triples.items())
+        if key not in self._realized:
+            composition = composition_from_triples(triples, self.domain)
+            self._realized[key] = [
+                (menu, list(realizations(menu, self.correspondence, composition)))
+                for menu in self.domain.menus
+            ]
+        return self._realized[key]
+
+    def point(
+        self,
+        utilities: Mapping[str, float],
+        triples: Mapping[Menu, Sequence[float]],
+        measures: str,
+    ) -> SimulatedPoint:
+        """Reduce the logit world at these utilities and market compositions.
+
+        `measures` is "bias", "distance" or "both".  A Frank-Wolfe run
+        that hits MAX_FW_ITERATIONS raises `NoConvergence`.
+        """
+        table = {
+            menu: _menu_row(utilities, self.owner, menu, realized)
+            for menu, realized in self.realized(triples)
+        }
+        rho = StochasticChoice(self.space, table)
+        estimates = bias_value = distance = None
+        if measures in ("bias", "both"):
+            markets = {m: rho.row(m) for m in MARKET_MENUS}
+            estimates = fit_aggregated_logit(StochasticChoice(self.space, markets))
+            bias_value = bias(estimates, utilities)
+        if measures in ("distance", "both"):
+            run = _frank_wolfe(self.lattice, self.lattice.values(rho))
+            if run.hit_iteration_cap:
+                raise NoConvergence(
+                    "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
+                )
+            distance = run.squared_distance
+        return SimulatedPoint(rho, estimates, bias_value, distance)
+
+
 def simulate_point(
     utilities: Mapping[str, float],
     triples: Mapping[Menu, Sequence[float]],
@@ -296,19 +390,11 @@ def simulate_point(
 ) -> SimulatedPoint:
     """Reduce the logit world at these utilities and market compositions.
 
-    `measures` is "bias", "distance" or "both".
+    `measures` is "bias", "distance" or "both".  The squared distance is
+    that of `aru_distance`; a Frank-Wolfe run that hits the iteration
+    cap raises `NoConvergence` instead of returning it.
     """
-    space, correspondence, domain = make_world()
-    composition = composition_from_triples(triples, domain)
-    rho = reduce_dataset(utilities, correspondence, composition, domain.menus)
-    estimates = bias_value = distance = None
-    if measures in ("bias", "both"):
-        markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
-        estimates = fit_aggregated_logit(markets)
-        bias_value = bias(estimates, utilities)
-    if measures in ("distance", "both"):
-        distance = aru_distance(rho, space).squared_distance
-    return SimulatedPoint(rho, estimates, bias_value, distance)
+    return _World().point(utilities, triples, measures)
 
 
 @dataclass(frozen=True)
@@ -328,7 +414,8 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     UTILITY_SWEEP_TRIPLES.  The other utilities are DEFAULT_UTILITIES.
     `measures` is "bias", "distance" or "both".  Rows come out in grid
     order.  A step that does not divide its range (1 for lambda mode)
-    raises `InvalidGridStep`.
+    raises `InvalidGridStep`.  One world serves every point; a
+    Frank-Wolfe run that hits the iteration cap raises `NoConvergence`.
     """
     if mode == "lambda":
         grid = [
@@ -354,9 +441,10 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
         ]
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
+    world = _World()
     rows = []
     for coords, utilities, triples in grid:
-        point = simulate_point(utilities, triples, measures)
+        point = world.point(utilities, triples, measures)
         rows.append(SweepRow(coords, point.bias, point.squared_distance))
     return rows
 

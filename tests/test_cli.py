@@ -479,6 +479,37 @@ class TestSimulateAndSweep:
                 "439a6c7d7df6f550e87552ad7596591433ad0283537535bb44b68b6b2ad8d755",
                 "ab47c402f32b552d3bb1915e174a7914b624560cc7886ed5bf999a3d6329784c",
             ),
+            # The grids of the sweep benchmark, under each --measures.
+            (
+                ["--mode", "lambda", "--grid", "0.1", "--measures", "both"],
+                "c40df6fdd93c89c68af560b2c2a1a502386398f608fb90694d70a8706db73e34",
+                "ea797a0a0efaab4e4e1a5a290f9ce5daddebc85f5fdb30256be64683973f6634",
+            ),
+            (
+                ["--mode", "lambda", "--grid", "0.1", "--measures", "bias"],
+                "b3f60d42b1bdc34048d41364e5411e46a1ee8d9338334b3eb539f0662e668865",
+                "bd79073b1386120ea51700a7ff605e2a045d0c412a9df937dbac91120e9529ec",
+            ),
+            (
+                ["--mode", "lambda", "--grid", "0.1", "--measures", "distance"],
+                "39ad724b5681571a48dee10faadbf6b6d19240caea64ea0e5ca0ecffdf4abc4b",
+                "ea797a0a0efaab4e4e1a5a290f9ce5daddebc85f5fdb30256be64683973f6634",
+            ),
+            (
+                ["--mode", "utility", "--resolution", "0.5", "--measures", "both"],
+                "39c8c1911950808c8f966d21ae1b2a1e8753736760d2f95847a0d0edf153e986",
+                "a16da160dd478a33d54438a3b26ecc3d5fc9522dae44fe0fbf6359f4775f7411",
+            ),
+            (
+                ["--mode", "utility", "--resolution", "0.5", "--measures", "bias"],
+                "5d95a14c8edaa6a0d47f30b1b1a1669d92df8e78f6dff4254809c787278dfe4e",
+                "fa31460dbaa37a20d6f9f2b4f81953146e61d52936182b91dcad63a42817fda1",
+            ),
+            (
+                ["--mode", "utility", "--resolution", "0.5", "--measures", "distance"],
+                "77f6231b1cfc3af4ff9001df914ec49bd893041c143fec64f2e9a23d78cf5af7",
+                "a16da160dd478a33d54438a3b26ecc3d5fc9522dae44fe0fbf6359f4775f7411",
+            ),
         ],
     )
     def test_sweep_golden_bytes(self, tmp_path, argv, csv_digest, svg_digest):

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import aggchoice.geometry
 
 from aggchoice import (
     AggregateSpace,
@@ -12,9 +16,11 @@ from aggchoice import (
     LinearOrder,
     MissingLambdaForMenu,
     MissingUtility,
+    NoConvergence,
     NotIdentified,
     PreferenceDistribution,
     StochasticChoice,
+    aru_distance,
     bias,
     fit_aggregated_logit,
     forward_evaluate,
@@ -26,9 +32,12 @@ from aggchoice import (
 from aggchoice.simulation import (
     DEFAULT_UTILITIES,
     MARKET_MENUS,
+    UTILITY_SWEEP_TRIPLES,
     _bias_extremes,
+    _World,
     composition_from_triples,
     make_world,
+    simulate_point,
 )
 
 E = math.e
@@ -276,6 +285,63 @@ class TestSweep:
 
     def test_row_count_matches_grid_product(self):
         # u(z), u(w) in {-5, 0, 5}.
+        assert len(sweep("utility", 5.0, "bias")) == 9
+
+
+class TestSharedWorld:
+    # One world across all examples, so its cached realizations and the
+    # lattice's reused work arrays are exercised from point to point.
+    world = _World()
+
+    @given(
+        utilities=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        parts=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(
+                lambda t: sum(t) > 0.1
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        measures=st.sampled_from(["both", "bias", "distance"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_world_matches_the_per_call_route(self, utilities, parts, measures):
+        utilities = dict(zip(("x", "y", "z", "w"), utilities))
+        triples = {
+            m: tuple(p / math.fsum(t) for p in t) for m, t in zip(MARKET_MENUS, parts)
+        }
+        space, corr, domain = make_world()
+        lam = composition_from_triples(triples, domain)
+        rho = reduce_dataset(utilities, corr, lam, domain.menus)
+        markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
+        expected_bias = bias(fit_aggregated_logit(markets), utilities)
+        expected_distance = aru_distance(rho, space).squared_distance
+        for point in (
+            self.world.point(utilities, triples, measures),
+            simulate_point(utilities, triples, measures),
+        ):
+            assert point.reduced.table == rho.table
+            if measures == "distance":
+                assert point.bias is None
+            else:
+                assert point.bias == expected_bias
+            if measures == "bias":
+                assert point.squared_distance is None
+            else:
+                assert point.squared_distance == expected_distance
+
+
+class TestIterationCap:
+    # The 3-id points need 5 to 7 Frank-Wolfe iterations, so one is too few.
+    def test_capped_distance_is_not_returned(self, monkeypatch):
+        monkeypatch.setattr(aggchoice.geometry, "MAX_FW_ITERATIONS", 1)
+        point = simulate_point(DEFAULT_UTILITIES, UTILITY_SWEEP_TRIPLES, "bias")
+        assert aru_distance(point.reduced, point.reduced.space).hit_iteration_cap
+        for measures in ("distance", "both"):
+            with pytest.raises(NoConvergence):
+                simulate_point(DEFAULT_UTILITIES, UTILITY_SWEEP_TRIPLES, measures)
+            with pytest.raises(NoConvergence):
+                sweep("utility", 5.0, measures)
         assert len(sweep("utility", 5.0, "bias")) == 9
 
 
