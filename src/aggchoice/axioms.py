@@ -11,7 +11,10 @@ Four checks, in increasing strength of what they certify:
   distribution) or an exact order-enumeration LP otherwise;
 * RU-rationality: the conjunction of the two (the full characterization);
 * ARU-rationality: random-utility consistency of the whole table over
-  aggregates, by LP feasibility over all orders.
+  aggregates.  On the full domain of the aggregates that is random
+  utility over them (Falmagne 1978), so a Block-Marschak sum below the
+  LP's own tolerance decides a failure without an LP; otherwise an LP
+  over all orders decides.
 """
 
 from __future__ import annotations
@@ -36,12 +39,20 @@ from .model import (
     Menu,
     PreferenceDistribution,
     StochasticChoice,
+    _check_enumerable,
     all_orders,
     aru_evaluate,
     order_events,
     verify_replay,
 )
-from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, LP_TOL, SUPPORT_FLOOR, flow_tol
+from .tolerances import (
+    AXIOM_TOL,
+    CERTIFICATE_TOL,
+    LP_TOL,
+    SUPPORT_FLOOR,
+    bm_tol,
+    flow_tol,
+)
 
 #: Order-enumeration cap for the partial (atomic-only) LP route.
 MAX_ATOMIC_LP = 7
@@ -162,6 +173,38 @@ def bm_values(rho: StochasticChoice, space: AggregateSpace) -> np.ndarray:
     return values
 
 
+def _bm_violations(
+    rho: StochasticChoice, ground: tuple[str, ...], slack: float
+) -> tuple[np.ndarray, tuple[Violation, ...]]:
+    """The Block-Marschak sums of the full domain on `ground`, and the
+    cells whose sum falls below -slack, sorted by menu, then id.
+
+    A negative sum is itself the certificate of failure (every order's
+    table has a nonnegative sum there), so each reported cell is
+    replayed through `bm_polynomial`, which sums independently; a
+    replay that misses by more than `flow_tol` raises.
+    """
+    lattice = AggregateSpace(ground, ())
+    values = bm_values(rho, lattice)
+    violations = []
+    for k, s in np.argwhere(values < -slack).tolist():
+        if s >> k & 1:
+            menu = frozenset(a for j, a in enumerate(ground) if s >> j & 1)
+            item, value = ground[k], float(values[k, s])
+            violations.append(Violation("block-marschak", (menu, item), value, 0.0))
+    violations.sort(key=lambda v: (lattice.menu_key(v.subject[0]), v.subject[1]))
+    bound = flow_tol(len(ground))
+    for v in violations:
+        menu, item = v.subject
+        replayed = bm_polynomial(rho, lattice, menu, item)
+        if not abs(replayed - v.lhs) <= bound:
+            raise VerificationBug(
+                f"Block-Marschak value {v.lhs!r} of {item!r} in {sorted(menu)} "
+                f"misses its alternating sum {replayed!r} (tolerance {bound!r})"
+            )
+    return values, tuple(violations)
+
+
 def _bm_flow_chains(values: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
     """Split the Block-Marschak flow into chains from the empty set up.
 
@@ -265,42 +308,24 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
     which is exact there (Falmagne 1978); on a pass, the chains of their
     flow are the certificate.  Otherwise the LP route solves the exact
     feasibility problem over enumerated atomic orders, and its support
-    is the certificate.  Either certificate is replayed against the data.
-    A negative Block-Marschak value is itself the certificate of failure
-    (every order's table has a nonnegative sum there), so each reported
-    cell is replayed through `bm_polynomial`, which sums independently.
+    is the certificate.  Either certificate is replayed against the data,
+    and so is each negative Block-Marschak value that fails the check.
     """
     atoms = space.atomic
     menus = _atomic_menus(rho, space)
     if len(menus) != 2 ** len(atoms) - 1:
         return _partial_ru_lp(rho, space)
-    values = bm_values(rho, space)
-    position = {a: k for k, a in enumerate(atoms)}
-    violations = []
-    for menu in menus:
-        s = sum(1 << position[a] for a in menu)
-        for item in space.sort(menu):
-            value = float(values[position[item], s])
-            if value < -AXIOM_TOL:
-                violations.append(Violation("block-marschak", (menu, item), value, 0.0))
-    bound = flow_tol(len(atoms))
-    if violations:
-        violations.sort(key=lambda v: (space.menu_key(v.subject[0]), v.subject[1]))
-        for v in violations:
-            menu, item = v.subject
-            replayed = bm_polynomial(rho, space, menu, item)
-            if not abs(replayed - v.lhs) <= bound:
-                raise VerificationBug(
-                    f"Block-Marschak value {v.lhs!r} of {item!r} in {sorted(menu)} "
-                    f"misses its alternating sum {replayed!r} (tolerance {bound!r})"
-                )
-        return AxiomReport(passed=False, violations=tuple(violations), method="bm")
     if not atoms:  # without atomic ids there is no order to certify
         return AxiomReport(passed=True, method="bm")
+    values, violations = _bm_violations(rho, atoms, bm_tol(len(atoms)))
+    if violations:
+        return AxiomReport(passed=False, violations=violations, method="bm")
     chains = _bm_flow_chains(values)
     total = math.fsum(w for _, w in chains)
     weights = {LinearOrder(tuple(atoms[k] for k in c)): w / total for c, w in chains}
-    certificate = _certified(weights, rho, menus, bound, "Block-Marschak certificate")
+    certificate = _certified(
+        weights, rho, menus, flow_tol(len(atoms)), "Block-Marschak certificate"
+    )
     return AxiomReport(passed=True, certificate=certificate, method="bm")
 
 
@@ -321,10 +346,23 @@ def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepo
 
 
 def check_aru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
-    """LP feasibility of a random-utility model over the aggregates.
+    """Random-utility consistency of the whole table over the aggregates.
 
-    Enumerates every order of the aggregate set and asks whether some
-    mixture reproduces the whole table; a feasible mixture is returned
-    as certificate.
+    On the full domain of the aggregates, the Block-Marschak sums over
+    them come first.  A sum below -LP_TOL rules out every LP point whose
+    artificial mass is at most LP_TOL (that mass moves a sum by at most
+    as much, and every order's sum is nonnegative), so those cells,
+    each replayed through `bm_polynomial`, are the failing report with
+    method "bm".  Otherwise, and on any other domain, an LP over every
+    order of the aggregates asks whether some mixture reproduces the
+    whole table; a feasible mixture is returned as certificate.  Either
+    way the order-enumeration cap holds.
     """
-    return _lp_rationalize(rho, list(rho.menus), space.members, "aru-lp-infeasible")
+    ground = space.members
+    _check_enumerable(ground)
+    menus = list(rho.menus)
+    if len(menus) == 2 ** len(ground) - 1:
+        _, violations = _bm_violations(rho, ground, LP_TOL)
+        if violations:
+            return AxiomReport(passed=False, violations=violations, method="bm")
+    return _lp_rationalize(rho, menus, ground, "aru-lp-infeasible")

@@ -49,8 +49,19 @@ ANCHOR_TOL = 1e-9
 #: A limited-monotonicity comparison or a Block-Marschak sum may fall
 #: short of its bound by this much and still pass.  A Block-Marschak sum
 #: adds up to 64 table values (at 7 atomic ids), each known to PROB_TOL,
-#: so its error stays below this.
+#: so its error stays below this; `bm_tol` scales it past 7 ids.
 AXIOM_TOL = 1e-10
+
+
+def bm_tol(atoms: int) -> float:
+    """Slack of a Block-Marschak sum on the full domain of `atoms` ids.
+
+    The singleton's sum adds the most table values, 2^(atoms - 1).
+    AXIOM_TOL covers 64 of them; each doubling beyond that doubles the
+    slack, so 128 values at 8 ids get 2 * AXIOM_TOL.
+    """
+    return AXIOM_TOL * max(1, 2 ** (atoms - 1) // 64)
+
 
 # -- Does an LP count as feasible? ------------------------------------------
 
@@ -88,11 +99,11 @@ def flow_tol(atoms: int) -> float:
     """Bound on one cell of a Block-Marschak flow certificate.
 
     The flow on the subset lattice of `atoms` ids carries the
-    Block-Marschak sums, with those in [-AXIOM_TOL, 0) clipped to 0.
-    Clipping moves a value by at most AXIOM_TOL and leaves the two nodes
+    Block-Marschak sums, with those in [-bm_tol, 0) clipped to 0.
+    Clipping moves a value by at most bm_tol and leaves the two nodes
     of its edge that much out of balance, so the chains leave undrained,
     or drop, about that much mass on the edges around it.  The bound
-    takes each value the chains carry to be within AXIOM_TOL of its sum;
+    takes each value the chains carry to be within bm_tol of its sum;
     imbalances of many clipped sums that pile up on one edge could break
     it, and the certificate's replay would then raise.  A cell rho(x, A)
     sums 2^(atoms - |A|) flow values, at most 2^(atoms - 1) of them.
@@ -101,7 +112,7 @@ def flow_tol(atoms: int) -> float:
     at most 2^atoms table values.  So it also bounds the gap between a
     sum from the Möbius pass and its `fsum` replay, which is rounding.
     """
-    return 2**atoms * AXIOM_TOL + 1e-11
+    return 2**atoms * bm_tol(atoms) + 1e-11
 
 
 #: Replay bound of a construction that takes no value from an LP.  It is

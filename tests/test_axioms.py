@@ -33,7 +33,7 @@ from aggchoice import (
 from aggchoice import axioms
 from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL, _partial_ru_lp, bm_values
 from aggchoice.model import all_orders
-from aggchoice.tolerances import AXIOM_TOL, flow_tol
+from aggchoice.tolerances import AXIOM_TOL, PROB_TOL, flow_tol
 from conftest import (
     pushed_flow_table,
     random_composition,
@@ -42,6 +42,9 @@ from conftest import (
     random_vertex,
     random_vertex_mixture,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import instances as gen  # noqa: E402  (the benchmark's instance generator)
 
 X, Y, A0 = "x", "y", "a0"
 
@@ -331,11 +334,13 @@ class TestBlockMarschakFlow:
     @pytest.mark.parametrize("menu", [(X,), (X, Y), (X, Y, "z")])
     def test_a_false_negative_value_raises(self, monkeypatch, menu):
         # Each reported cell is replayed through bm_polynomial, so a
-        # Möbius pass that invents a negative value cannot fail the check.
+        # Möbius pass that invents a negative value cannot fail the RU
+        # check, nor the ARU check on a full domain.
         space = AggregateSpace((X, Y, "z"), ())
         mu = random_preferences(space.members, np.random.default_rng(8))
         rho = aru_evaluate(mu, ChoiceDomain.full(space))
-        assert check_partial_ru(rho, space).passed
+        checks = (check_ru_rational, check_aru_rational)
+        assert all(check(rho, space).passed for check in checks)
         s = sum(1 << space.index(a) for a in menu)
 
         def corrupted(rho, space):
@@ -344,8 +349,40 @@ class TestBlockMarschakFlow:
             return values
 
         monkeypatch.setattr(axioms, "bm_values", corrupted)
-        with pytest.raises(VerificationBug, match="alternating sum"):
-            check_ru_rational(rho, space)
+        for check in checks:
+            with pytest.raises(VerificationBug, match="alternating sum"):
+                check(rho, space)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_slack_covers_the_singleton_sum(self, n):
+        # Six orders of n ids; the first ranks x first, so x wins every
+        # menu.  Each cell of x's singleton sum, the singleton's own
+        # aside, moves by 0.9 * PROB_TOL against its sign (the row's top
+        # other id takes up the difference), so the data stay within
+        # PROB_TOL of RU data.  The 127 cells at 8 ids give -1.14e-10,
+        # beyond AXIOM_TOL; the 63 at 7 ids give -5.7e-11.
+        space = atomic_space(n)
+        domain = ChoiceDomain.full(space)
+        rng = np.random.default_rng(3)
+        orders = [LinearOrder(tuple(rng.permutation(space.members))) for _ in range(6)]
+        weights = rng.random(6) + 0.05
+        weights /= weights.sum()
+        mu = PreferenceDistribution({o: float(w) for o, w in zip(orders, weights)})
+        rho = aru_evaluate(mu, domain)
+        rows = {m: dict(rho.row(m)) for m in domain.menus}
+        x = orders[0].ranking[0]
+        for menu, row in rows.items():
+            if x in menu and len(menu) > 1:
+                move = 0.9 * PROB_TOL * (-1) ** (len(menu) - 1)
+                other = max(menu - {x}, key=row.__getitem__)
+                row[x] -= move
+                row[other] += move
+        rho = StochasticChoice(space, rows)
+        k = space.index(x)
+        low = bm_values(rho, space)[k, 1 << k]
+        assert low == pytest.approx(-0.9 * PROB_TOL * (2 ** (n - 1) - 1), rel=0.01)
+        report = check_partial_ru(rho, space)
+        assert report.passed and report.method == "bm"
 
 
 class TestRuRational:
@@ -427,6 +464,72 @@ class TestAruRational:
         assert report.passed
         replay = aru_evaluate(report.certificate, three_domain)
         assert replay.max_cell_difference(rho) < 1e-9
+
+
+class TestAruBlockMarschak:
+    """On a full domain, Block-Marschak sums over the aggregates decide a
+    failing ARU check; the order LP is the reference and decides the rest."""
+
+    @given(
+        shape=st.sampled_from([(2, 1), (1, 2), (3, 1), (2, 2), (4, 1), (3, 2), (2, 3)]),
+        seed=st.integers(0, 2**16),
+        support=st.integers(1, 5),
+        eps=st.sampled_from([0.0, 1.0] + [10.0**-k for k in range(1, 13)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_order_lp(self, shape, seed, support, eps):
+        # eps = 0 is a sparse ARU mixture, eps = 1 a vertex mixture
+        # forced out of the ARU polytope, and the rest their blends.
+        space = gen.make_space(*shape)
+        domain = ChoiceDomain.full(space)
+        rng = np.random.default_rng(seed)
+        aru = aru_evaluate(random_preferences(space.members, rng, support), domain)
+        forced = gen.vertex_mixture("f", space, seed, 0, 8, force_non_aru=True).rho
+        rho = StochasticChoice(
+            space,
+            {
+                m: {a: (1 - eps) * aru.prob(m, a) + eps * forced.prob(m, a) for a in m}
+                for m in domain.menus
+            },
+        )
+        report = check_aru_rational(rho, space)
+        reference = axioms._lp_rationalize(
+            rho, list(rho.menus), space.members, "aru-lp-infeasible"
+        )
+        assert report.passed == reference.passed
+        if eps == 1.0:
+            assert report.method == "bm" and report.violations
+        if report.method != "bm":
+            return
+        lattice = AggregateSpace(space.members, ())
+        for v in report.violations:
+            assert v.kind == "block-marschak" and v.lhs < -LP_TOL
+            replayed = bm_polynomial(rho, lattice, *v.subject)
+            assert abs(replayed - v.lhs) <= flow_tol(len(space.members))
+
+    def test_a_decisive_failure_runs_no_lp(self, monkeypatch):
+        calls = []
+        solve, events = linprog.solve_feasibility, axioms.order_events
+
+        def spy_solve(a, b, tol):
+            calls.append("solve")
+            return solve(a, b, tol)
+
+        def spy_events(ground, cells):
+            calls.append("events")
+            return events(ground, cells)
+
+        monkeypatch.setattr(linprog, "solve_feasibility", spy_solve)
+        monkeypatch.setattr(axioms, "order_events", spy_events)
+        space = gen.make_space(3, 2)
+        forced = gen.vertex_mixture("f", space, 1, 0, 8, force_non_aru=True).rho
+        report = check_aru_rational(forced, space)
+        assert not report.passed and report.method == "bm"
+        assert calls == []
+        aru = gen.aru_order_mixture("a", space, 1, 0).rho
+        report = check_aru_rational(aru, space)
+        assert report.passed and report.method == "lp"
+        assert calls == ["events", "solve"]
 
 
 class TestSoundnessChain:

@@ -354,12 +354,19 @@ def test_partial_lp_cap():
 
 def test_aru_check_cap():
     from aggchoice import DomainTooLarge, check_aru_rational
+    from aggchoice.model import nonempty_subsets
 
     ids = tuple(f"i{k}" for k in range(9))
     space = AggregateSpace(ids, ())
     rho = StochasticChoice(space, {frozenset(ids): {a: 1 / 9 for a in ids}})
     with pytest.raises(DomainTooLarge):
         check_aru_rational(rho, space)
+    # On the full domain, i0 winning the grand menu outright breaks
+    # regularity, which the Block-Marschak sums would decide alone.
+    rows = {m: {a: 1 / len(m) for a in m} for m in nonempty_subsets(ids)}
+    rows[frozenset(ids)] = {a: float(a == "i0") for a in ids}
+    with pytest.raises(DomainTooLarge):
+        check_aru_rational(StochasticChoice(space, rows), space)
 
 
 @given(weights=st.lists(st.floats(0.01, 10), min_size=1, max_size=6))

@@ -18,7 +18,9 @@ from aggchoice.tolerances import (
     GRID_REPLAY_TOL,
     GRID_TOL,
     LP_TOL,
+    PROB_TOL,
     VERIFY_TOL,
+    bm_tol,
     certificate_tol,
     flow_tol,
     grid_steps,
@@ -60,10 +62,18 @@ def test_names_read_by_other_modules_keep_their_values():
 
 
 @pytest.mark.parametrize("atoms", range(1, 9))
+def test_block_marschak_slack_covers_its_terms(atoms):
+    # A singleton's sum adds 2^(atoms - 1) table values, each known to
+    # PROB_TOL; up to 7 ids the slack stays AXIOM_TOL.
+    assert bm_tol(atoms) >= 2 ** (atoms - 1) * PROB_TOL
+    assert (bm_tol(atoms) == AXIOM_TOL) == (atoms <= 7)
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
 def test_flow_bound_covers_the_clipped_sums(atoms):
     # A singleton's cell sums 2^(atoms - 1) flow values, each within
-    # AXIOM_TOL of its Block-Marschak sum; renormalizing may double that.
-    assert flow_tol(atoms) >= 2 * 2 ** (atoms - 1) * AXIOM_TOL
+    # the slack of its Block-Marschak sum; renormalizing may double that.
+    assert flow_tol(atoms) >= 2 * 2 ** (atoms - 1) * bm_tol(atoms)
 
 
 def test_replay_bounds_after_an_lp_cover_its_acceptance():
