@@ -11,6 +11,19 @@ eligible index (Bland's rule) after a degenerate pivot, until it moves
 again.  Any cycle revisits a basis at an unchanged objective, so all but
 its first pivot would be Bland pivots, and Bland's rule cannot cycle
 (Bland 1977, Math. Oper. Res.).
+
+A pivot subtracts from every row its entry in the entering column times
+the pivot row.  That rank-one update is elementwise numpy arithmetic,
+not a BLAS call, so its rounding does not depend on the BLAS thread
+count.  numpy runs a product with a broadcast operand through its ufunc
+buffer; at the default 8192 elements it copies the operand into that
+buffer on every row narrower than a few thousand entries, and the
+product costs three to four times its arithmetic.  So on a tableau at
+least `WIDE_TABLEAU` columns wide the pivots run with a `PIVOT_BUFSIZE`
+buffer, and the caller's size is restored on every exit.  The buffer
+changes how numpy walks the arrays, not which products it takes or in
+what order, so the bits are the same.  On narrower tableaus the small
+buffer is the slower one, and the default stays.
 """
 
 from __future__ import annotations
@@ -26,9 +39,18 @@ from .tolerances import LP_TOL, PIVOT_TOL, SUPPORT_FLOOR
 _MAX_PIVOTS = 200_000
 
 #: A pivot updates the tableau in blocks of rows of about this many bytes,
-#: so the outer-product temporary stays small and in cache however wide
-#: the tableau is.
+#: so the rank-one product, written into one scratch block per solve,
+#: stays small and in cache however wide the tableau is.
 BLOCK_BYTES = 1 << 18
+
+#: numpy's ufunc buffer size, in elements, while a wide tableau pivots.
+PIVOT_BUFSIZE = 16
+
+#: The column count from which the small buffer pays.  The product alone
+#: broke even at 57 to 73 columns (30 to 800 rows, numpy 2.4); from
+#: 121 columns on it took at most 0.65 of its time at the default buffer,
+#: and at 7 to 33 columns up to 2.7 times its time.
+WIDE_TABLEAU = 64
 
 
 @dataclass(frozen=True)
@@ -134,47 +156,58 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int, in
     tab[m, -1] = -b.sum()
 
     step = max(1, BLOCK_BYTES // tab[0].nbytes)
-    basis = list(range(n, n + m))
+    product = np.empty((min(step, m + 1), n + 1))
+    basis = np.arange(n, n + m)
     pivots = bland_pivots = 0
     bland = False
-    while True:
-        costs = tab[m, :n]
-        candidates = np.flatnonzero(costs < -PIVOT_TOL)
-        if candidates.size == 0:
-            break
-        if pivots == _MAX_PIVOTS:
-            raise NoConvergence("simplex pivot cap exceeded")
-        if bland:
-            col = int(candidates[0])  # smallest eligible index
-            bland_pivots += 1
-        else:
-            col = int(np.argmin(costs))  # most negative, lowest index on ties
-        ratios = np.full(m, np.inf)
-        positive = tab[:m, col] > PIVOT_TOL
-        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
-        best = ratios.min()
-        if not np.isfinite(best):
-            # Unbounded phase-1 cannot happen with artificial costs >= 0;
-            # treat defensively as a failed pivot.
-            break
-        tied = np.flatnonzero(ratios <= best + PIVOT_TOL * (1 + abs(best)))
-        row = int(min(tied, key=lambda r: basis[r]))  # lowest basis index on ties
+    bufsize = np.getbufsize()
+    if n + 1 >= WIDE_TABLEAU:
+        np.setbufsize(PIVOT_BUFSIZE)
+    try:
+        while True:
+            costs = tab[m, :n]
+            if bland:
+                candidates = np.flatnonzero(costs < -PIVOT_TOL)
+                if candidates.size == 0:
+                    break
+                col = int(candidates[0])  # smallest eligible index
+            else:
+                col = int(np.argmin(costs))  # most negative, lowest index on ties
+                if not costs[col] < -PIVOT_TOL:
+                    break
+            if pivots == _MAX_PIVOTS:
+                raise NoConvergence("simplex pivot cap exceeded")
+            bland_pivots += bland
+            ratios = np.full(m, np.inf)
+            positive = tab[:m, col] > PIVOT_TOL
+            ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
+            best = ratios.min()
+            if not np.isfinite(best):
+                # Phase 1 is bounded below by 0, so an entering column
+                # with no positive entry means the tableau lost accuracy.
+                raise NoConvergence("simplex found a ray in a bounded phase 1")
+            tied = np.flatnonzero(ratios <= best + PIVOT_TOL * (1 + abs(best)))
+            row = int(tied[np.argmin(basis[tied])])  # lowest basis index on ties
 
-        objective = tab[m, -1]
-        pivot_row = tab[row]
-        pivot_row /= pivot_row[col]
-        for start, stop in ((0, row), (row + 1, m + 1)):
-            for lo in range(start, stop, step):
-                block = tab[lo : min(lo + step, stop)]
-                block -= np.outer(block[:, col], pivot_row)
-        basis[row] = col
-        pivots += 1
-        # A degenerate pivot leaves the objective where it was; Bland's
-        # rule then chooses until it moves again.
-        bland = not tab[m, -1] > objective
+            objective = tab[m, -1]
+            pivot_row = tab[row]
+            pivot_row /= pivot_row[col]
+            for start, stop in ((0, row), (row + 1, m + 1)):
+                for lo in range(start, stop, step):
+                    block = tab[lo : min(lo + step, stop)]
+                    scratch = product[: len(block)]
+                    np.multiply(block[:, col, None], pivot_row, out=scratch)
+                    block -= scratch
+            basis[row] = col
+            pivots += 1
+            # A degenerate pivot leaves the objective where it was; Bland's
+            # rule then chooses until it moves again.
+            bland = not tab[m, -1] > objective
+    finally:
+        np.setbufsize(bufsize)
 
     x = np.zeros(n)
-    for r, j in enumerate(basis):
+    for r, j in enumerate(basis.tolist()):
         if j < n:
             x[j] = max(tab[r, -1], 0.0)
     return x, float(-tab[m, -1]), pivots, bland_pivots

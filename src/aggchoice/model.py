@@ -40,6 +40,12 @@ Menu = frozenset[str]
 #: Hard cap on any operation that enumerates all linear orders (8! = 40320).
 MAX_ENUMERATION_GROUND = 8
 
+#: `forward_evaluate` takes the winners of whole menus together until
+#: their composition tuples times the support's orders reach this many
+#: entries, so a small support costs one winner call for the whole domain
+#: and a large one keeps its temporaries to a few megabytes.
+EVALUATE_BLOCK = 1 << 16
+
 
 def nonempty_subsets(ids: Sequence[str]) -> list[frozenset[str]]:
     """Every nonempty subset of `ids`, by size, then in combinations order."""
@@ -618,16 +624,31 @@ def forward_evaluate(
     labels = np.array([space.index(owner[x]) for x in ground])
     ranks = prefs.ranks(ground)
     weights = np.fromiter(prefs.weights.values(), float)
+    members = len(space.members)
     table: dict[Menu, dict[str, float]] = {}
-    for menu in domain.menus:
-        weighted = list(realizations(menu, correspondence, composition))
-        realized_sets = [[position[x] for x in ids] for _, ids in weighted]
-        # bincount adds in input order, tuple by tuple and then order by
-        # order: the float sequence of a loop over both.
-        picks = labels[_winners(ranks, realized_sets)].ravel()
-        products = np.outer([w for w, _ in weighted], weights).ravel()
-        mass = np.bincount(picks, products, len(space.members))
-        table[menu] = {a: float(mass[space.index(a)]) for a in menu}
+    block: list[Menu] = []
+    realized_sets: list[list[int]] = []
+    tuple_weights: list[float] = []
+    offsets: list[int] = []  # the first label of each tuple's menu
+    menus = domain.menus
+    for i, menu in enumerate(menus):
+        for w, ids in realizations(menu, correspondence, composition):
+            realized_sets.append([position[x] for x in ids])
+            tuple_weights.append(w)
+            offsets.append(len(block) * members)
+        block.append(menu)
+        if i + 1 < len(menus) and len(realized_sets) * len(weights) < EVALUATE_BLOCK:
+            continue
+        # Each menu owns `members` labels, and bincount adds in input
+        # order, tuple by tuple and then order by order: every cell gets
+        # the float sequence of a loop over both.
+        picks = labels[_winners(ranks, realized_sets)]
+        picks += np.array(offsets, dtype=picks.dtype)[:, None]
+        products = np.outer(tuple_weights, weights)
+        mass = np.bincount(picks.ravel(), products.ravel(), len(block) * members)
+        for m, row in zip(block, mass.reshape(len(block), members)):
+            table[m] = {a: float(row[space.index(a)]) for a in m}
+        block, realized_sets, tuple_weights, offsets = [], [], [], []
     return StochasticChoice(space, table)
 
 

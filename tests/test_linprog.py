@@ -347,6 +347,192 @@ def test_pricing_rule_keeps_the_bland_verdict(system):
     assert 0 <= result.bland_pivots <= result.pivots
 
 
+def _outer_phase_one(a, b):
+    """The reference kernel: the pivot loop as it ran at numpy's default buffer.
+
+    The same tableau, pricing, ratio test and blocks as
+    `linprog._phase_one`, with a fresh `np.outer` per block per pivot and
+    a Python list for the basis.  Returns the point, the artificial mass
+    and both pivot counts.  Like `linprog._phase_one`, it raises
+    `NoConvergence` when the entering column has no positive entry.
+    """
+    m, n = a.shape
+    flip = b < 0
+    b = np.where(flip, -b, b)
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = a
+    np.negative(tab[:m, :n], out=tab[:m, :n], where=flip[:, None])
+    tab[:m, -1] = b
+    tab[m, :n] = -tab[:m, :n].sum(axis=0)
+    tab[m, -1] = -b.sum()
+    step = max(1, linprog.BLOCK_BYTES // tab[0].nbytes)
+    basis = list(range(n, n + m))
+    pivots = bland_pivots = 0
+    bland = False
+    while True:
+        costs = tab[m, :n]
+        candidates = np.flatnonzero(costs < -linprog.PIVOT_TOL)
+        if candidates.size == 0:
+            break
+        if pivots == linprog._MAX_PIVOTS:
+            raise NoConvergence("simplex pivot cap exceeded")
+        if bland:
+            col = int(candidates[0])
+            bland_pivots += 1
+        else:
+            col = int(np.argmin(costs))
+        ratios = np.full(m, np.inf)
+        positive = tab[:m, col] > linprog.PIVOT_TOL
+        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
+        best = ratios.min()
+        if not np.isfinite(best):
+            raise NoConvergence("simplex found a ray in a bounded phase 1")
+        tied = np.flatnonzero(ratios <= best + linprog.PIVOT_TOL * (1 + abs(best)))
+        row = int(min(tied, key=lambda r: basis[r]))
+        objective = tab[m, -1]
+        pivot_row = tab[row]
+        pivot_row /= pivot_row[col]
+        for start, stop in ((0, row), (row + 1, m + 1)):
+            for lo in range(start, stop, step):
+                block = tab[lo : min(lo + step, stop)]
+                block -= np.outer(block[:, col], pivot_row)
+        basis[row] = col
+        pivots += 1
+        bland = not tab[m, -1] > objective
+    x = np.zeros(n)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = max(tab[r, -1], 0.0)
+    return x, float(-tab[m, -1]), pivots, bland_pivots
+
+
+@st.composite
+def _kernel_systems(draw):
+    """Systems of 1-24 rows and 1-1100 columns, on both sides of WIDE_TABLEAU.
+
+    0/1 matrices with sparse points (degenerate: Bland pivots), normal
+    matrices with a point or a free right-hand side (infeasible ones
+    too), and some rows negated so that their right-hand side is
+    negative.  `rows_per_block` 1-3 shrinks BLOCK_BYTES so that one
+    pivot spans many blocks and the pivot row sits inside one; 0 keeps
+    the library's blocks.
+    """
+    kind = draw(st.sampled_from(["zero-one", "normal-point", "normal-free"]))
+    m = draw(st.integers(1, 24))
+    n = draw(st.one_of(st.integers(1, 80), st.integers(81, 1100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero-one":
+        a = (rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5]))).astype(float)
+        b = a @ (rng.integers(0, 3, n) * (rng.random(n) < 0.2))
+    else:
+        a = rng.standard_normal((m, n))
+        b = a @ (rng.random(n) * (rng.random(n) < 0.3))
+        if kind == "normal-free":
+            b = rng.standard_normal(m)
+    negate = rng.random(m) < draw(st.sampled_from([0.0, 0.5]))
+    a[negate] *= -1.0
+    b[negate] *= -1.0
+    return a, b, draw(st.integers(0, 3))
+
+
+def _same_outcome(a, b):
+    """`_phase_one` and the reference, run alike: both results, or both errors."""
+    outcomes = []
+    for kernel in (linprog._phase_one, _outer_phase_one):
+        try:
+            outcomes.append(kernel(a, b))
+        except NoConvergence as err:
+            outcomes.append(str(err))
+    ours, reference = outcomes
+    if isinstance(ours, str) or isinstance(reference, str):
+        assert ours == reference
+        return
+    assert ours[0].tobytes() == reference[0].tobytes()
+    assert ours[1:] == reference[1:]
+    assert np.getbufsize() == 8192
+
+
+@given(system=_kernel_systems())
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_the_outer_product_reference(system):
+    a, b, rows_per_block = system
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block:
+            patch.setattr(linprog, "BLOCK_BYTES", rows_per_block * (a.shape[1] + 1) * 8)
+        _same_outcome(a, b)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [_aru_event_system, _aru_bool_system, _negative_rhs_system, _degenerate_system,
+     _infeasible_system],
+    ids=["aru-5", "aru-5-bool", "negative-rhs", "degenerate", "infeasible"],
+)
+def test_kernel_matches_the_reference_on_the_goldens(system):
+    a, b = system()
+    _same_outcome(a.astype(float), b)
+
+
+def _ray_system():
+    """30 rows of one entry 1e-3 and right-hand side 1e-3: x = 1 solves it."""
+    return np.full((30, 1), 1e-3), np.full(30, 1e-3)
+
+
+def test_a_phase_one_ray_raises(monkeypatch):
+    # The entering column's reduced cost is -0.03, and no entry is above
+    # the patched pivot tolerance: the ratio test finds no row.  Phase 1
+    # is bounded below, so that is lost accuracy, not an infeasible
+    # verdict with the artificial mass left.
+    monkeypatch.setattr(linprog, "PIVOT_TOL", 5e-3)
+    with pytest.raises(NoConvergence, match="ray"):
+        solve_feasibility(*_ray_system())
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+@pytest.mark.parametrize("exit_by", ["return", "ray", "pivot-cap"])
+def test_solve_restores_the_callers_buffer_size(monkeypatch, wide, exit_by):
+    a, b = _ray_system() if exit_by == "ray" else _aru_event_system()
+    if wide:  # the small buffer is set whatever the width
+        monkeypatch.setattr(linprog, "WIDE_TABLEAU", 0)
+    else:
+        monkeypatch.setattr(linprog, "WIDE_TABLEAU", 10**9)
+    if exit_by == "ray":
+        monkeypatch.setattr(linprog, "PIVOT_TOL", 5e-3)
+    if exit_by == "pivot-cap":
+        monkeypatch.setattr(linprog, "_MAX_PIVOTS", 1)
+    seen = []
+    real_setbufsize = np.setbufsize
+    monkeypatch.setattr(
+        np, "setbufsize", lambda size: seen.append(size) or real_setbufsize(size)
+    )
+    before = real_setbufsize(4096)
+    try:
+        if exit_by == "return":
+            assert solve_feasibility(a, b).feasible
+        else:
+            with pytest.raises(NoConvergence):
+                solve_feasibility(a, b)
+        assert np.getbufsize() == 4096
+    finally:
+        real_setbufsize(before)
+    assert seen == ([linprog.PIVOT_BUFSIZE, 4096] if wide else [4096])
+
+
+@pytest.mark.parametrize(
+    "system", [_aru_event_system, _negative_rhs_system], ids=["wide", "narrow"]
+)
+def test_callers_buffer_size_does_not_change_the_bits(system):
+    a, b = system()
+    default = linprog._phase_one(a, b)
+    before = np.setbufsize(65536)
+    try:
+        large = linprog._phase_one(a, b)
+    finally:
+        np.setbufsize(before)
+    assert large[0].tobytes() == default[0].tobytes()
+    assert large[1:] == default[1:]
+
+
 def test_interior_aru_lp_pivot_count(monkeypatch):
     """All 720 orders of 6 ids with positive weight: the ARU LP's interior case.
 

@@ -25,6 +25,7 @@ from aggchoice import (
     rum_prob,
     vertex_choice,
 )
+from aggchoice import model
 from conftest import random_composition, random_preferences
 
 X, Y, A0 = "x", "y", "a0"
@@ -254,6 +255,58 @@ class TestForwardEvaluate:
                 assert rho1.prob(menu, a) == pytest.approx(
                     rum_prob(mu, menu, a), abs=1e-12
                 )
+
+
+def _per_menu_forward_evaluate(prefs, correspondence, composition, domain):
+    """The reference: one winner call and one bincount per menu."""
+    space = correspondence.space
+    ground = correspondence.ground
+    position = {x: i for i, x in enumerate(ground)}
+    owner = correspondence.owner_map()
+    labels = np.array([space.index(owner[x]) for x in ground])
+    ranks = prefs.ranks(ground)
+    weights = np.fromiter(prefs.weights.values(), float)
+    table = {}
+    for menu in domain.menus:
+        weighted = list(model.realizations(menu, correspondence, composition))
+        realized_sets = [[position[x] for x in ids] for _, ids in weighted]
+        picks = labels[model._winners(ranks, realized_sets)].ravel()
+        products = np.outer([w for w, _ in weighted], weights).ravel()
+        mass = np.bincount(picks, products, len(space.members))
+        table[menu] = {a: float(mass[space.index(a)]) for a in menu}
+    return StochasticChoice(space, table)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    support=st.integers(1, 40),
+    underlying=st.sampled_from([(2,), (3,), (2, 2), (2, 3)]),
+    partial=st.booleans(),
+    block=st.sampled_from([1, 50, model.EVALUATE_BLOCK]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forward_evaluate_cells_equal_the_per_menu_path(
+    seed, support, underlying, partial, block
+):
+    # Menus share winner calls and one bincount, in blocks of at least
+    # `block` entries: every cell must keep its float exactly.
+    rng = np.random.default_rng(seed)
+    non_atomic = tuple(f"a{k}" for k in range(len(underlying)))
+    space = AggregateSpace(("x", "y"), non_atomic)
+    corr = AggregationCorrespondence.identity_atomic(
+        space,
+        {a: tuple(f"{a}-{i}" for i in range(size)) for a, size in zip(non_atomic, underlying)},
+    )
+    dom = ChoiceDomain.full(space)
+    if partial:
+        keep = [m for m in dom.menus if rng.random() < 0.5] or [dom.menus[0]]
+        dom = ChoiceDomain(space, tuple(keep))
+    mu = random_preferences(corr.ground, rng, support)
+    lam = random_composition(corr, dom, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "EVALUATE_BLOCK", block)
+        ours = forward_evaluate(mu, corr, lam, dom)
+    assert ours.table == _per_menu_forward_evaluate(mu, corr, lam, dom).table
 
 
 class TestAruEvaluate:
