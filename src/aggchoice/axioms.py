@@ -12,9 +12,9 @@ Four checks, in increasing strength of what they certify:
 * RU-rationality: the conjunction of the two (the full characterization);
 * ARU-rationality: random-utility consistency of the whole table over
   aggregates.  On the full domain of the aggregates that is random
-  utility over them (Falmagne 1978), so a Block-Marschak sum below the
-  LP's own tolerance decides a failure without an LP; otherwise an LP
-  over all orders decides.
+  utility over them (Falmagne 1978), so a Block-Marschak sum below
+  -`bm_tol` fails it without an LP, by the partial check's rule;
+  otherwise an LP over all orders decides.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ class AxiomReport:
     violations: tuple[Violation, ...] = ()
     certificate: PreferenceDistribution | None = None
     method: str | None = None
+    #: Each cell of the certificate replayed within this (0 without one).
+    replay_bound: float = 0.0
 
     def __post_init__(self):
         if self.passed != (len(self.violations) == 0):
@@ -174,10 +176,10 @@ def bm_values(rho: StochasticChoice, space: AggregateSpace) -> np.ndarray:
 
 
 def _bm_violations(
-    rho: StochasticChoice, ground: tuple[str, ...], slack: float
+    rho: StochasticChoice, ground: tuple[str, ...]
 ) -> tuple[np.ndarray, tuple[Violation, ...]]:
     """The Block-Marschak sums of the full domain on `ground`, and the
-    cells whose sum falls below -slack, sorted by menu, then id.
+    cells whose sum falls below -`bm_tol`, sorted by menu, then id.
 
     A negative sum is itself the certificate of failure (every order's
     table has a nonnegative sum there), so each reported cell is
@@ -187,7 +189,7 @@ def _bm_violations(
     lattice = AggregateSpace(ground, ())
     values = bm_values(rho, lattice)
     violations = []
-    for k, s in np.argwhere(values < -slack).tolist():
+    for k, s in np.argwhere(values < -bm_tol(len(ground))).tolist():
         if s >> k & 1:
             menu = frozenset(a for j, a in enumerate(ground) if s >> j & 1)
             item, value = ground[k], float(values[k, s])
@@ -246,15 +248,19 @@ def _bm_flow_chains(values: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
 
 
 def _certified(
-    weights: dict, rho: StochasticChoice, menus: list[Menu], bound: float, what: str
-) -> PreferenceDistribution:
-    """`weights` as a distribution, replayed on the menus within `bound`."""
+    weights: dict, rho: StochasticChoice, menus: list[Menu], bound: float, method: str
+) -> AxiomReport:
+    """The passing report of `method`, its certificate `weights` as a
+    distribution, replayed on the menus within `bound`."""
     certificate = PreferenceDistribution(weights)
     # The replay space holds exactly the ids the certificate ranks.
     space = AggregateSpace(certificate.support[0].ranking, ())
     replay = aru_evaluate(certificate, ChoiceDomain(space, tuple(menus)))
-    verify_replay(replay.table, rho.table, bound, what)
-    return certificate
+    what = {"lp": "LP", "bm": "Block-Marschak"}[method]
+    verify_replay(replay.table, rho.table, bound, f"{what} certificate")
+    return AxiomReport(
+        passed=True, certificate=certificate, method=method, replay_bound=bound
+    )
 
 
 def _lp_rationalize(
@@ -279,8 +285,7 @@ def _lp_rationalize(
         return AxiomReport(passed=False, violations=(violation,), method="lp")
     orders = all_orders(ground)
     weights = {orders[j]: w for j, w in support.items()}
-    certificate = _certified(weights, rho, menus, CERTIFICATE_TOL, "LP certificate")
-    return AxiomReport(passed=True, certificate=certificate, method="lp")
+    return _certified(weights, rho, menus, CERTIFICATE_TOL, "lp")
 
 
 def _partial_ru_lp(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
@@ -317,16 +322,13 @@ def check_partial_ru(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepor
         return _partial_ru_lp(rho, space)
     if not atoms:  # without atomic ids there is no order to certify
         return AxiomReport(passed=True, method="bm")
-    values, violations = _bm_violations(rho, atoms, bm_tol(len(atoms)))
+    values, violations = _bm_violations(rho, atoms)
     if violations:
         return AxiomReport(passed=False, violations=violations, method="bm")
     chains = _bm_flow_chains(values)
     total = math.fsum(w for _, w in chains)
     weights = {LinearOrder(tuple(atoms[k] for k in c)): w / total for c, w in chains}
-    certificate = _certified(
-        weights, rho, menus, flow_tol(len(atoms)), "Block-Marschak certificate"
-    )
-    return AxiomReport(passed=True, certificate=certificate, method="bm")
+    return _certified(weights, rho, menus, flow_tol(len(atoms)), "bm")
 
 
 def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomReport:
@@ -342,6 +344,7 @@ def check_ru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRepo
         violations=violations,
         certificate=partial.certificate,
         method=partial.method,
+        replay_bound=partial.replay_bound,
     )
 
 
@@ -349,20 +352,20 @@ def check_aru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRep
     """Random-utility consistency of the whole table over the aggregates.
 
     On the full domain of the aggregates, the Block-Marschak sums over
-    them come first.  A sum below -LP_TOL rules out every LP point whose
-    artificial mass is at most LP_TOL (that mass moves a sum by at most
-    as much, and every order's sum is nonnegative), so those cells,
-    each replayed through `bm_polynomial`, are the failing report with
-    method "bm".  Otherwise, and on any other domain, an LP over every
-    order of the aggregates asks whether some mixture reproduces the
-    whole table; a feasible mixture is returned as certificate.  Either
-    way the order-enumeration cap holds.
+    them come first, under the partial check's rule: the cells below
+    -`bm_tol`, each replayed through `bm_polynomial`, are the failing
+    report with method "bm".  Every order's sum is nonnegative, so such
+    a cell rules the table out whatever the LP would say.  Otherwise,
+    and on any other domain, an LP over every order of the aggregates
+    asks whether some mixture reproduces the whole table; a feasible
+    mixture is returned as certificate.  Either way the
+    order-enumeration cap holds.
     """
     ground = space.members
     _check_enumerable(ground)
     menus = list(rho.menus)
     if len(menus) == 2 ** len(ground) - 1:
-        _, violations = _bm_violations(rho, ground, LP_TOL)
+        _, violations = _bm_violations(rho, ground)
         if violations:
             return AxiomReport(passed=False, violations=violations, method="bm")
     return _lp_rationalize(rho, menus, ground, "aru-lp-infeasible")

@@ -34,6 +34,7 @@ from .model import (
     LinearOrder,
     Menu,
     PreferenceDistribution,
+    _marginal,
     aru_evaluate,
     forward_evaluate,
     nonempty_subsets,
@@ -247,16 +248,6 @@ def _solve_joint(
         LP_TOL,
     )
     return joint, result, support
-
-
-def _marginal(
-    dist: dict[CompositionTuple, float], keep: tuple[str, ...]
-) -> dict[CompositionTuple, float]:
-    out: dict[CompositionTuple, float] = {}
-    for t, w in dist.items():
-        sub = CompositionTuple.of({a: t.part(a) for a in keep if a in t.aggregates})
-        out[sub] = out.get(sub, 0.0) + w
-    return out
 
 
 def unconditional_joint(

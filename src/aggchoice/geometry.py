@@ -346,8 +346,13 @@ class _Corral:
         are all above -ACTIVE_SET_TOL; otherwise step toward it until a
         weight reaches 0 (or falls below ACTIVE_SET_FLOOR), drop the
         vertices left at 0, and repeat.  Vertices at weight 0 leave.
+
+        A pass that does not return zeroes its blocking weight (up to
+        rounding, far below ACTIVE_SET_FLOOR), and `_keep` drops that
+        vertex; one vertex is its own minimizer, so it returns within
+        `len(weights)` passes.
         """
-        for _ in range(4 * len(weights) + 8):
+        while True:
             affine = self.inverse @ self.inverse.sum(axis=0)
             affine /= affine.sum()
             lowest = affine.min()
@@ -361,7 +366,6 @@ class _Corral:
             weights = weights + float(steps.min()) * (affine - weights)
             weights[weights < ACTIVE_SET_FLOOR] = 0.0
             weights = self._keep(weights)
-        return weights
 
     def _border(self, row: np.ndarray, dot: float) -> tuple[np.ndarray, float, float]:
         """A new row's column of R, the square of its diagonal entry of R,

@@ -550,16 +550,20 @@ class CompositionDistribution:
         per_menu = {}
         for menu in menus:
             present = frozenset(menu) & space.non_atomic_set
-            if not present:
-                continue
-            marg: dict[CompositionTuple, float] = {}
-            for t, w in dist.items():
-                sub = CompositionTuple.of(
-                    {a: t.part(a) for a in present}
-                )
-                marg[sub] = marg.get(sub, 0.0) + w
-            per_menu[frozenset(menu)] = marg
+            if present:
+                per_menu[frozenset(menu)] = _marginal(dist, space.sort(present))
         return CompositionDistribution(per_menu)
+
+
+def _marginal(
+    dist: Mapping[CompositionTuple, float], keep: tuple[str, ...]
+) -> dict[CompositionTuple, float]:
+    """`dist` restricted to `keep`, adding weights in `dist`'s order."""
+    out: dict[CompositionTuple, float] = {}
+    for t, w in dist.items():
+        sub = CompositionTuple.of({a: t.part(a) for a in keep if a in t.aggregates})
+        out[sub] = out.get(sub, 0.0) + w
+    return out
 
 
 def realizations(

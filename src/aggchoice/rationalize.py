@@ -51,7 +51,7 @@ from .model import (
     forward_evaluate,
     verify_replay,
 )
-from .tolerances import AXIOM_TOL, CERTIFICATE_TOL, PROB_TOL, flow_tol, replay_tol
+from .tolerances import AXIOM_TOL, PROB_TOL, replay_tol
 from .tolerances import VERIFY_TOL  # noqa: F401  (importable from here)
 
 VARIANTS = ("multi", "outside_option")
@@ -273,15 +273,14 @@ def rationalize(
     certificate, the Block-Marschak flow on a full atomic domain and the
     atomic LP's support otherwise (without atomic ids there is nothing to
     certify, and the witness is the extension of the empty ranking).  It
-    is replayed against the data within the bound that certificate
-    implies, ``replay_tol(len(space.atomic), cell_tol)``; a failed replay
-    after a passing check is a library bug and raises `VerificationBug`.
+    is replayed within ``replay_tol(len(space.atomic), report.replay_bound)``,
+    from the bound the certificate's own route set; a failed replay after
+    a passing check is a library bug and raises `VerificationBug`.
     """
     _check_variant(space, variant)
     report = check_ru_rational(rho, space)
     if not report.passed:
         raise AxiomViolated("data is not RU-rational", report=report)
-    cell_tol = flow_tol(len(space.atomic)) if report.method == "bm" else CERTIFICATE_TOL
     if report.certificate is None:
         correspondence = _synthetic_correspondence(space, variant)
         prefs = PreferenceDistribution.degenerate(
@@ -303,7 +302,7 @@ def rationalize(
     residual = verify_replay(
         produced.table,
         rho.table,
-        replay_tol(len(space.atomic), cell_tol),
+        replay_tol(len(space.atomic), report.replay_bound),
         "constructed witness",
     )
 

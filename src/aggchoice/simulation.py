@@ -159,13 +159,6 @@ class _Likelihood:
         return ll, grad, hess
 
 
-def _log_likelihood(
-    rho: StochasticChoice, values: Mapping[str, float]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log likelihood, gradient and Hessian over the sorted keys of `values`."""
-    return _Likelihood(rho, sorted(values))(values)
-
-
 #: The aggregate whose utility the aggregated-logit fit pins to 0.
 PINNED = "a0"
 
@@ -174,11 +167,13 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
     """Maximum-likelihood aggregated logit with PINNED's utility at 0.
 
     Maximizes the equally-menu-weighted log likelihood by damped Newton
-    (concave objective; step halving up to 40 times per iteration).
+    (concave objective; step halving up to 40 times per iteration; a
+    singular Hessian gives the least-squares step).
     Returns the utility map including the pinned aggregate at exactly 0.
     Raises `NotIdentified` for a disconnected menu graph and
     `NoConvergence` if 200 iterations do not reach gradient norm
-    GRADIENT_TOL.
+    GRADIENT_TOL, or if 40 halvings of one step never keep the
+    likelihood from falling.
     """
     free = _check_identified(rho, PINNED)
     values = {a: 0.0 for a in free}

@@ -54,7 +54,9 @@ AXIOM_TOL = 1e-10
 
 
 def bm_tol(atoms: int) -> float:
-    """Slack of a Block-Marschak sum on the full domain of `atoms` ids.
+    """Slack of a Block-Marschak sum on the full domain of `atoms` ids:
+    the slack of every Block-Marschak verdict, the partial RU check's
+    and the full-domain ARU check's alike.
 
     The singleton's sum adds the most table values, 2^(atoms - 1).
     AXIOM_TOL covers 64 of them; each doubling beyond that doubles the
@@ -128,8 +130,9 @@ def replay_tol(terms: int, cell_tol: float = CERTIFICATE_TOL) -> float:
     A rationalizing witness reproduces each cell of a mixed menu as a
     combination, with weights between 0 and 1, of the atomic cells of
     the certificate it extends: `terms` is the number of atomic ids, and
-    `cell_tol` bounds one cell of the certificate (CERTIFICATE_TOL after
-    the LP, ``flow_tol(terms)`` after the Block-Marschak flow).
+    `cell_tol` bounds one cell of the certificate, the `replay_bound` its
+    check's report carries (CERTIFICATE_TOL after the LP,
+    ``flow_tol(terms)`` after the Block-Marschak flow).
     A collapsed ARU distribution reproduces each cell as such a
     combination of a menu's composition tuples, whose joint marginals
     match the menu's distribution within CERTIFICATE_TOL: `terms`

@@ -1,4 +1,5 @@
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from aggchoice import (
     AggregateSpace,
+    AxiomViolated,
     ChoiceDomain,
     DomainClosureViolated,
     IncompleteDomain,
@@ -33,7 +35,7 @@ from aggchoice import (
 from aggchoice import axioms
 from aggchoice.axioms import CERTIFICATE_TOL, LP_TOL, _partial_ru_lp, bm_values
 from aggchoice.model import all_orders
-from aggchoice.tolerances import AXIOM_TOL, PROB_TOL, flow_tol
+from aggchoice.tolerances import AXIOM_TOL, PROB_TOL, bm_tol, flow_tol
 from conftest import (
     pushed_flow_table,
     random_composition,
@@ -468,7 +470,8 @@ class TestAruRational:
 
 class TestAruBlockMarschak:
     """On a full domain, Block-Marschak sums over the aggregates decide a
-    failing ARU check; the order LP is the reference and decides the rest."""
+    failing ARU check at the partial check's slack, `bm_tol`; the order
+    LP is the reference and decides the rest."""
 
     @given(
         shape=st.sampled_from([(2, 1), (1, 2), (3, 1), (2, 2), (4, 1), (3, 2), (2, 3)]),
@@ -493,19 +496,101 @@ class TestAruBlockMarschak:
             },
         )
         report = check_aru_rational(rho, space)
-        reference = axioms._lp_rationalize(
-            rho, list(rho.menus), space.members, "aru-lp-infeasible"
-        )
-        assert report.passed == reference.passed
+        n = len(space.members)
+        lattice = AggregateSpace(space.members, ())
+        values = bm_values(rho, lattice)
+        least = min(values[k, s] for k, s in np.ndindex(values.shape) if s >> k & 1)
+        if least < -LP_TOL or least >= -bm_tol(n):
+            # Outside the band the slack makes no difference: the LP,
+            # which accepts artificial mass up to LP_TOL, agrees.
+            reference = axioms._lp_rationalize(
+                rho, list(rho.menus), space.members, "aru-lp-infeasible"
+            )
+            assert report.passed == reference.passed
+        else:
+            # A sum in [-LP_TOL, -bm_tol) fails the table, as it fails
+            # the partial check, whatever the LP would accept.
+            assert not report.passed and report.method == "bm"
         if eps == 1.0:
             assert report.method == "bm" and report.violations
         if report.method != "bm":
             return
-        lattice = AggregateSpace(space.members, ())
         for v in report.violations:
-            assert v.kind == "block-marschak" and v.lhs < -LP_TOL
+            assert v.kind == "block-marschak" and v.lhs < -bm_tol(n)
             replayed = bm_polynomial(rho, lattice, *v.subject)
-            assert abs(replayed - v.lhs) <= flow_tol(len(space.members))
+            assert abs(replayed - v.lhs) <= flow_tol(n)
+
+    @staticmethod
+    def moved(rho, menu, source, target, eps):
+        """`rho` with `eps` of `menu`'s mass moved from `source` to `target`."""
+        rows = {m: dict(row) for m, row in rho.table.items()}
+        rows[menu][source] -= eps
+        rows[menu][target] += eps
+        return StochasticChoice(rho.space, rows)
+
+    def test_a_boundary_table_fails_both_checks(self):
+        # One order, with 1.5e-10 moved off its best id in the atomic
+        # grand menu: three atomic sums fall to -1.5e-10, inside the
+        # LP's acceptance but outside bm_tol.  The ARU check used to
+        # pass it by the LP while the RU check failed it, so
+        # `rationalize` raised on a table called ARU-rational.
+        grand = frozenset({"x0", "x1", "x2"})
+        space = gen.make_space(3, 1)
+        order = LinearOrder(("x0", "x1", "a0", "x2"))
+        rho = aru_evaluate(PreferenceDistribution.degenerate(order), ChoiceDomain.full(space))
+        rho = self.moved(rho, grand, "x0", "x2", 1.5e-10)
+        aru, ru = check_aru_rational(rho, space), check_ru_rational(rho, space)
+        assert not aru.passed and aru.method == "bm" and len(aru.violations) == 4
+        assert not ru.passed and ru.method == "bm"
+        assert [v.kind for v in ru.violations].count("block-marschak") == 3
+        with pytest.raises(AxiomViolated):
+            rationalize(rho, space)
+        # Without non-atomic ids the two checks sum over one lattice.
+        space = gen.make_space(3, 0)
+        order = LinearOrder(("x0", "x1", "x2"))
+        rho = aru_evaluate(PreferenceDistribution.degenerate(order), ChoiceDomain.full(space))
+        rho = self.moved(rho, grand, "x0", "x2", 1.5e-10)
+        aru, ru = check_aru_rational(rho, space), check_ru_rational(rho, space)
+        assert not aru.passed and aru.violations == ru.violations
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (3, 0), (4, 0)])
+    def test_an_aru_rational_boundary_table_is_ru_rational(self, shape):
+        # One- and two-order tables, each with eps just above AXIOM_TOL
+        # moved from the larger to the smaller of two ids of one menu:
+        # sums in [-LP_TOL, -bm_tol) must not pass one check and fail
+        # the other.
+        space = gen.make_space(*shape)
+        domain = ChoiceDomain.full(space)
+        menus = [m for m in domain.menus if len(m) >= 2]
+        for seed, support in itertools.product(range(15), (1, 2)):
+            rng = np.random.default_rng([seed, support, *shape])
+            prefs = random_preferences(space.members, rng, support)
+            rho = aru_evaluate(prefs, domain)
+            menu = menus[int(rng.integers(len(menus)))]
+            pairs = [
+                sorted(pair, key=lambda a: -rho.prob(menu, a))
+                for pair in itertools.combinations(space.sort(menu), 2)
+                if max(rho.prob(menu, a) for a in pair) > 0.0
+            ]
+            larger, smaller = pairs[int(rng.integers(len(pairs)))]
+            for eps in (1.2e-10, 2e-10, 4e-10, 8e-10):
+                if rho.prob(menu, larger) < eps:
+                    continue
+                moved = self.moved(rho, menu, larger, smaller, eps)
+                if check_aru_rational(moved, space).passed:
+                    assert check_ru_rational(moved, space).passed
+                    rationalize(moved, space)
+
+    def test_the_report_carries_its_replay_bound(self):
+        space = gen.make_space(3, 1)
+        rho = gen.aru_order_mixture("a", space, 1, 0).rho
+        lp = check_aru_rational(rho, space)
+        assert lp.method == "lp" and lp.replay_bound == CERTIFICATE_TOL
+        flow = check_ru_rational(rho, space)
+        assert flow.method == "bm" and flow.replay_bound == flow_tol(3)
+        forced = gen.vertex_mixture("f", space, 1, 0, 8, force_non_aru=True).rho
+        failed = check_aru_rational(forced, space)
+        assert failed.certificate is None and failed.replay_bound == 0.0
 
     def test_a_decisive_failure_runs_no_lp(self, monkeypatch):
         calls = []

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from aggchoice import (
     AggregateSpace,
+    AggregationCorrespondence,
     ChoiceDomain,
+    CompositionDistribution,
+    CompositionTuple,
     LinearOrder,
     MenuCollectionFamily,
     NotRURational,
@@ -27,7 +30,9 @@ from aggchoice import (
     vertex_choice,
     vertex_count_lower_bound,
 )
+from aggchoice.geometry import _interior_grid
 from aggchoice.model import all_orders
+from aggchoice.tolerances import GRID_REPLAY_TOL
 from conftest import (
     random_preferences,
     random_table,
@@ -343,6 +348,48 @@ class TestGridOracle:
         assert check_ru_rational(mix, three_space).passed
         result = grid_oracle_ru_n(mix, 2)
         assert not result.found
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("steps", [3, 10, 50])
+    def test_interior_grid(self, dim, steps):
+        points = _interior_grid(dim, steps)
+        assert len(points) == len(set(points)) == math.comb(steps - 1, dim - 1)
+        for point in points:
+            assert len(point) == dim and min(point) > 0.0
+            assert math.fsum(point) == pytest.approx(1.0, abs=1e-15)
+
+    def test_witness_mixing_two_subsets(self):
+        # The outside aggregate stands for two ids, and the menus {x, a0}
+        # and {y, a0} each mix two of its subsets at multiples of 0.02.
+        # Each of those menus has one value cell, so the oracle searches
+        # supports of one subset (3 candidates) and of two, at the 49
+        # interior weights of the grid (3 * 49): 150 candidates each.
+        # {x, y, a0} has only zero cells (3 candidates), {a0} one.
+        space = AggregateSpace((X, Y), (A0,))
+        corr = AggregationCorrespondence.identity_atomic(space, {A0: ("o0", "o1")})
+        domain = ChoiceDomain.full(space)
+        subsets = [frozenset({"o0"}), frozenset({"o1"}), frozenset({"o0", "o1"})]
+        rng = np.random.default_rng(39)
+        prefs = random_preferences(corr.ground, rng, int(rng.integers(1, 3)))
+        per_menu = {frozenset({A0}): {CompositionTuple.of({A0: subsets[2]}): 1.0}}
+        for menu in domain.menus:
+            if A0 in menu and len(menu) > 1:
+                i, j = rng.choice(3, 2, replace=False)
+                w = 0.02 * int(rng.integers(1, 50))
+                per_menu[menu] = {
+                    CompositionTuple.of({A0: subsets[i]}): w,
+                    CompositionTuple.of({A0: subsets[j]}): 1.0 - w,
+                }
+        composition = CompositionDistribution(per_menu)
+        rho = forward_evaluate(prefs, corr, composition, domain)
+        result = grid_oracle_ru_n(rho, 2)
+        assert result.found
+        found = result.witness.composition
+        assert max(len(found.for_menu(m)) for m in found.menus()) == 2
+        w = result.witness
+        replay = forward_evaluate(w.prefs, w.correspondence, found, domain)
+        assert replay.max_cell_difference(rho) <= GRID_REPLAY_TOL
+        assert result.candidates_checked <= 1 + 3 + 150 + 150
 
     def test_caps_enforced(self):
         space = AggregateSpace(("a", "b", "c", "d"), (A0,))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aggchoice.geometry
+from aggchoice import simulation
 
 from aggchoice import (
     AggregateSpace,
@@ -34,6 +35,7 @@ from aggchoice.simulation import (
     MARKET_MENUS,
     UTILITY_SWEEP_TRIPLES,
     _bias_extremes,
+    _Likelihood,
     _World,
     composition_from_triples,
     make_world,
@@ -196,13 +198,73 @@ class TestFit:
             self.space,
             {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
         )
-        from aggchoice.simulation import _log_likelihood
-
         for _ in range(10):
             point = {"x": float(rng.normal()), "y": float(rng.normal())}
-            _, _, hess = _log_likelihood(rho, point)
+            _, _, hess = _Likelihood(rho, sorted(point))(point)
             eigenvalues = np.linalg.eigvalsh(hess)
             assert (eigenvalues <= 1e-12).all()
+
+    def logit_data(self):
+        truth = {"x": 2.0, "y": 1.0, "a0": 0.0}
+        rho = StochasticChoice(
+            self.space,
+            {m: logit_choice(truth, sorted(m)) for m in self.domain.menus},
+        )
+        return rho, truth
+
+    def test_singular_hessian_takes_the_least_squares_step(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        steps = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond):
+            steps.append(b)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        rho, truth = self.logit_data()
+        estimates = fit_aggregated_logit(rho)
+        assert estimates == pytest.approx(truth, abs=1e-6)
+        assert steps
+
+    def rejecting(self, monkeypatch, rejects):
+        """Make the likelihood report -inf on the evaluations `rejects`
+        picks by call number; returns the points it was evaluated at."""
+        points = []
+
+        class Rejecting(_Likelihood):
+            def __call__(self, values):
+                points.append(dict(values))
+                ll, grad, hess = super().__call__(values)
+                return (-math.inf if rejects(len(points)) else ll), grad, hess
+
+        monkeypatch.setattr(simulation, "_Likelihood", Rejecting)
+        return points
+
+    def test_a_rejected_step_is_halved(self, monkeypatch):
+        # Call 1 is the start, at 0; call 2 the first full step, which fails.
+        points = self.rejecting(monkeypatch, lambda call: call == 2)
+        rho, truth = self.logit_data()
+        assert fit_aggregated_logit(rho) == pytest.approx(truth, abs=1e-6)
+        start, full, half = points[:3]
+        assert start == {"x": 0.0, "y": 0.0}
+        assert half == {a: 0.5 * step for a, step in full.items()}
+
+    def test_halving_that_never_helps_raises(self, monkeypatch):
+        points = self.rejecting(monkeypatch, lambda call: call > 1)
+        rho, _ = self.logit_data()
+        with pytest.raises(NoConvergence, match="step halving"):
+            fit_aggregated_logit(rho)
+        assert len(points) == 1 + simulation.MAX_STEP_HALVINGS
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_NEWTON_ITERATIONS", 1)
+        rho, _ = self.logit_data()
+        with pytest.raises(NoConvergence, match="iteration cap"):
+            fit_aggregated_logit(rho)
 
 
 class TestBias:
