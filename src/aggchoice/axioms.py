@@ -13,8 +13,9 @@ Four checks, in increasing strength of what they certify:
 * ARU-rationality: random-utility consistency of the whole table over
   aggregates.  On the full domain of the aggregates that is random
   utility over them (Falmagne 1978), so a Block-Marschak sum below
-  -`bm_tol` fails it without an LP, by the partial check's rule;
-  otherwise an LP over all orders decides.
+  -`bm_tol`, over the aggregates or over the atomic ids, fails it
+  without an LP, by the partial check's rule; otherwise an LP over all
+  orders decides.
 """
 
 from __future__ import annotations
@@ -355,7 +356,11 @@ def check_aru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRep
     them come first, under the partial check's rule: the cells below
     -`bm_tol`, each replayed through `bm_polynomial`, are the failing
     report with method "bm".  Every order's sum is nonnegative, so such
-    a cell rules the table out whatever the LP would say.  Otherwise,
+    a cell rules the table out whatever the LP would say.  When none
+    is, the sums over the atomic ids follow under the same rule: with
+    k non-atomic ids an atomic sum adds up 2^k aggregate sums, so it
+    can fall below -`bm_tol` while each of them stays above, and the
+    RU check would fail the table.  Otherwise,
     and on any other domain, an LP over every order of the aggregates
     asks whether some mixture reproduces the whole table; a feasible
     mixture is returned as certificate.  Either way the
@@ -366,6 +371,8 @@ def check_aru_rational(rho: StochasticChoice, space: AggregateSpace) -> AxiomRep
     menus = list(rho.menus)
     if len(menus) == 2 ** len(ground) - 1:
         _, violations = _bm_violations(rho, ground)
+        if not violations and space.non_atomic and space.atomic:
+            _, violations = _bm_violations(rho, space.atomic)
         if violations:
             return AxiomReport(passed=False, violations=violations, method="bm")
     return _lp_rationalize(rho, menus, ground, "aru-lp-infeasible")

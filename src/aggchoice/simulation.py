@@ -54,19 +54,58 @@ def logit_choice(utilities: UtilityMap, menu: Iterable[str]) -> dict[str, float]
     return {i: float(p) for i, p in zip(items, weights)}
 
 
-def _menu_row(
-    utilities: UtilityMap,
+def _utility_column(
+    columns: dict[str, np.ndarray], utilities: Sequence[UtilityMap], x: str
+) -> np.ndarray:
+    """Every point's utility of `x`, built once per id into `columns`."""
+    if x not in columns:
+        try:
+            columns[x] = np.array([u[x] for u in utilities])
+        except KeyError as err:
+            raise MissingUtility(f"no utility for {err.args[0]!r}") from None
+    return columns[x]
+
+
+def _menu_rows(
+    utilities: Sequence[UtilityMap],
     owner: Mapping[str, str],
     menu: Menu,
-    realized: Iterable[tuple[float, list[str]]],
-) -> dict[str, float]:
-    """One menu's row: each realized set's softmax mass, times the set's
-    weight, summed within each aggregate, set by set in `realized` order."""
-    row = {a: 0.0 for a in menu}
-    for w, ids in realized:
-        for x, p in logit_choice(utilities, ids).items():
-            row[owner[x]] += w * p
-    return row
+    realized: Sequence[Sequence[tuple[float, list[str]]]],
+    columns: dict[str, np.ndarray],
+) -> dict[str, list[float]]:
+    """One menu's row at each point, in lockstep: each aggregate's
+    probability at every point.
+
+    A point's row sums each of its realized sets' softmax mass, times
+    the set's weight, within each aggregate, set by set in `realized`
+    order.  Points whose realized sets hold the same ids share one
+    softmax per set, an array with a row per point.  Each float comes
+    from the operations `logit_choice` makes on one point and set, in
+    the same order: `np.exp`, and numpy's row sum, which adds a row of
+    at most four terms left to right, as its sum of one such array
+    does.  `columns` caches the utility columns of `utilities` across
+    menus.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, sets in enumerate(realized):
+        groups.setdefault(tuple(tuple(ids) for _, ids in sets), []).append(i)
+    rows = {a: np.zeros(len(realized)) for a in menu}
+    for shape, members in groups.items():
+        at = np.array(members)
+        sums = {a: np.zeros(len(members)) for a in menu}
+        for r, ids in enumerate(shape):
+            u = np.column_stack(
+                [_utility_column(columns, utilities, x)[at] for x in ids]
+            )
+            u = u - u.max(axis=1, keepdims=True)
+            p = np.exp(u)
+            p /= p.sum(axis=1, keepdims=True)
+            w = np.array([realized[i][r][0] for i in members])
+            for j, x in enumerate(ids):
+                sums[owner[x]] += w * p[:, j]
+        for a, s in sums.items():
+            rows[a][at] = s
+    return {a: row.tolist() for a, row in rows.items()}
 
 
 def reduce_dataset(
@@ -83,11 +122,13 @@ def reduce_dataset(
     Tuples are checked as `forward_evaluate` checks them.
     """
     owner = correspondence.owner_map()
+    columns: dict[str, np.ndarray] = {}
     table: dict[Menu, dict[str, float]] = {}
     for menu in menus:
         menu = frozenset(menu)
-        realized = realizations(menu, correspondence, composition)
-        table[menu] = _menu_row(utilities, owner, menu, realized)
+        realized = list(realizations(menu, correspondence, composition))
+        rows = _menu_rows([utilities], owner, menu, [realized], columns)
+        table[menu] = {a: row[0] for a, row in rows.items()}
     return StochasticChoice(correspondence.space, table)
 
 
@@ -114,53 +155,124 @@ def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
 
 
 class _Likelihood:
-    """Log likelihood of a table over sorted free params.
+    """Log likelihoods of tables on the same menus, over sorted free params.
 
-    The menu layout (each menu's items sorted, their shares, and the
-    params among them) is built once, for every evaluation of a fit.
+    The menu layout (each menu's items sorted, the params among them and
+    every table's shares) is built once, for every evaluation of a fit.
     """
 
-    def __init__(self, rho: StochasticChoice, params: Sequence[str]):
+    def __init__(self, tables: Sequence[StochasticChoice], params: Sequence[str]):
         index = {a: i for i, a in enumerate(params)}
         self.size = len(params)
         self.menus = []
-        for menu in rho.menus:
+        for menu in tables[0].menus:
             items = sorted(menu)
-            shares = [rho.prob(menu, a) for a in items]
+            shares = np.array([[t.prob(menu, a) for a in items] for t in tables])
             slots = [index.get(a) for a in items]
             free = [(i, slot) for i, slot in enumerate(slots) if slot is not None]
-            self.menus.append((items, shares, slots, free))
+            self.menus.append((shares, slots, free))
 
     def __call__(
-        self, values: Mapping[str, float]
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Log likelihood, gradient and Hessian at `values`.
+        self, values: np.ndarray, which: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log likelihood, gradient and Hessian of the tables `which`.
 
-        Utilities missing from `values` are 0.  One pass over the menus.
+        Row k of `values` holds the params of table `which[k]`; the other
+        aggregates' utilities are 0.  One pass over the menus, each a
+        softmax with a row per table.  The sums run in one table's order:
+        menu by menu, item by item, each log with `math.log`.
         """
-        ll = 0.0
-        grad = np.zeros(self.size)
-        hess = np.zeros((self.size, self.size))
-        for items, shares, slots, free in self.menus:
-            u = np.array([values.get(a, 0.0) for a in items])
-            u = u - u.max()
+        n = len(which)
+        ll = np.zeros(n)
+        grad = np.zeros((n, self.size))
+        hess = np.zeros((n, self.size, self.size))
+        for shares, slots, free in self.menus:
+            shares = shares[which]
+            u = np.zeros((n, len(slots)))
+            for i, slot in free:
+                u[:, i] = values[:, slot]
+            u = u - u.max(axis=1, keepdims=True)
             p = np.exp(u)
-            total = p.sum()
-            logits = (u - math.log(total)).tolist()
-            p = (p / total).tolist()
-            for lp, pa, share, slot in zip(logits, p, shares, slots):
-                if share > 0.0:
-                    ll += share * lp
+            total = p.sum(axis=1)
+            logs = np.array([math.log(t) for t in total.tolist()])
+            logits = u - logs[:, None]
+            p = p / total[:, None]
+            for i, slot in enumerate(slots):
+                share = shares[:, i]
+                ll += np.where(share > 0.0, share * logits[:, i], 0.0)
                 if slot is not None:
-                    grad[slot] += share - pa
+                    grad[:, slot] += share - p[:, i]
             for i, gi in free:
                 for j, gj in free:
-                    hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
+                    both = p[:, i] * p[:, j]
+                    hess[:, gi, gj] -= (1.0 if i == j else 0.0) * p[:, i] - both
         return ll, grad, hess
 
 
 #: The aggregate whose utility the aggregated-logit fit pins to 0.
 PINNED = "a0"
+
+
+def _newton_steps(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Each Newton step, solving one system per row of `grad`.
+
+    One stacked solve runs LAPACK's gesv on each matrix, as a solve of
+    that matrix alone does.  When a matrix is singular, the stack is
+    solved matrix by matrix, and each singular one takes the
+    least-squares step.
+    """
+    try:
+        return np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = []
+        for a, b in zip(neg_hess, grad):
+            try:
+                steps.append(np.linalg.solve(a, b))
+            except np.linalg.LinAlgError:
+                steps.append(np.linalg.lstsq(a, b, rcond=None)[0])
+        return np.array(steps)
+
+
+def _fit_lockstep(tables: Sequence[StochasticChoice]) -> list[dict[str, float]]:
+    """`fit_aggregated_logit` of each table, all in one damped Newton run.
+
+    The tables must share their menus.  Each iteration solves the steps
+    of the tables still above GRADIENT_TOL together, then halves each
+    step until its table's likelihood keeps from falling; each table
+    sees the iterations, halvings and floats of its own fit.  The first
+    table to fail raises, in the order the run reaches it.
+    """
+    free = _check_identified(tables[0], PINNED)
+    if not free:
+        return [{PINNED: 0.0} for _ in tables]
+    likelihood = _Likelihood(tables, free)
+    active = np.arange(len(tables))
+    values = np.zeros((len(tables), len(free)))
+    current, grad, hess = likelihood(values, active)
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        active = active[~(np.abs(grad[active]).max(axis=1) <= GRADIENT_TOL)]
+        if not active.size:
+            return [{**dict(zip(free, row)), PINNED: 0.0} for row in values.tolist()]
+        step = _newton_steps(-hess[active], grad[active])
+        scale = np.ones(len(active))
+        waiting = np.arange(len(active))
+        for _ in range(MAX_STEP_HALVINGS):
+            at = active[waiting]
+            trial = values[at] + scale[waiting, None] * step[waiting]
+            evaluated, trial_grad, trial_hess = likelihood(trial, at)
+            kept = evaluated >= current[at] - ASCENT_SLACK
+            taken = at[kept]
+            values[taken] = trial[kept]
+            current[taken] = evaluated[kept]
+            grad[taken] = trial_grad[kept]
+            hess[taken] = trial_hess[kept]
+            waiting = waiting[~kept]
+            if not waiting.size:
+                break
+            scale[waiting] *= 0.5
+        else:
+            raise NoConvergence("step halving failed to improve the likelihood")
+    raise NoConvergence("Newton hit the iteration cap before the gradient tolerance")
 
 
 def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
@@ -175,31 +287,7 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
     GRADIENT_TOL, or if 40 halvings of one step never keep the
     likelihood from falling.
     """
-    free = _check_identified(rho, PINNED)
-    values = {a: 0.0 for a in free}
-    if not free:
-        return {PINNED: 0.0}
-    log_likelihood = _Likelihood(rho, free)
-    current, grad, hess = log_likelihood(values)
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        if np.abs(grad).max() <= GRADIENT_TOL:
-            return {**values, PINNED: 0.0}
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(-hess, grad, rcond=None)[0]
-        scale = 1.0
-        for _ in range(MAX_STEP_HALVINGS):
-            trial = {a: values[a] + scale * s for a, s in zip(free, step)}
-            evaluated = log_likelihood(trial)
-            if evaluated[0] >= current - ASCENT_SLACK:
-                values = trial
-                current, grad, hess = evaluated
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("step halving failed to improve the likelihood")
-    raise NoConvergence("Newton hit the iteration cap before the gradient tolerance")
+    return _fit_lockstep([rho])[0]
 
 
 def bias(estimated: UtilityMap, true_utilities: UtilityMap) -> float:
@@ -322,10 +410,11 @@ class _World:
 
     It holds the space, correspondence, domain, owner map and the
     domain's lattice cells, and each distinct set of market triples'
-    realized sets per menu.  A point then costs only its softmax sums,
-    its validated table, the market fit and the Frank-Wolfe run.  The
-    lattice's work arrays are reused, so one world serves one caller at
-    a time.
+    realized sets per menu.  Points are then evaluated in lockstep: the
+    softmax rows of all points, each point's validated table and market
+    table, one Newton run for all fits, and a Frank-Wolfe run per point.
+    The lattice's work arrays are reused, so one world serves one caller
+    at a time.
     """
 
     def __init__(self):
@@ -347,6 +436,58 @@ class _World:
             ]
         return self._realized[key]
 
+    def points(
+        self,
+        grid: Sequence[tuple[UtilityMap, Mapping[Menu, Sequence[float]]]],
+        measures: str,
+    ) -> list[SimulatedPoint]:
+        """Reduce the logit world at each (utilities, market triples) pair.
+
+        `measures` is "bias", "distance" or "both".  Each point gets the
+        floats it gets alone.  All fits run before any Frank-Wolfe run,
+        so a failing fit raises before a failing projection; a
+        Frank-Wolfe run that hits MAX_FW_ITERATIONS raises
+        `NoConvergence`.
+        """
+        utilities = [u for u, _ in grid]
+        realized = [self.realized(triples) for _, triples in grid]
+        columns: dict[str, np.ndarray] = {}
+        rows = []
+        for k, menu in enumerate(self.domain.menus):
+            sets = [r[k][1] for r in realized]
+            rows.append((menu, _menu_rows(utilities, self.owner, menu, sets, columns)))
+        reduced = [
+            StochasticChoice(
+                self.space,
+                {menu: {a: probs[i] for a, probs in row.items()} for menu, row in rows},
+            )
+            for i in range(len(grid))
+        ]
+        estimates: list = [None] * len(grid)
+        biases: list = [None] * len(grid)
+        distances: list = [None] * len(grid)
+        if measures in ("bias", "both"):
+            markets = [
+                StochasticChoice(self.space, {m: rho.row(m) for m in MARKET_MENUS})
+                for rho in reduced
+            ]
+            estimates = _fit_lockstep(markets)
+            biases = [bias(e, u) for e, u in zip(estimates, utilities)]
+        if measures in ("distance", "both"):
+            distances = [self._distance(rho) for rho in reduced]
+        return [
+            SimulatedPoint(*point)
+            for point in zip(reduced, estimates, biases, distances)
+        ]
+
+    def _distance(self, rho: StochasticChoice) -> float:
+        run = _frank_wolfe(self.lattice, self.lattice.values(rho))
+        if run.hit_iteration_cap:
+            raise NoConvergence(
+                "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
+            )
+        return run.squared_distance
+
     def point(
         self,
         utilities: Mapping[str, float],
@@ -355,27 +496,9 @@ class _World:
     ) -> SimulatedPoint:
         """Reduce the logit world at these utilities and market compositions.
 
-        `measures` is "bias", "distance" or "both".  A Frank-Wolfe run
-        that hits MAX_FW_ITERATIONS raises `NoConvergence`.
+        The batch of one of `points`.
         """
-        table = {
-            menu: _menu_row(utilities, self.owner, menu, realized)
-            for menu, realized in self.realized(triples)
-        }
-        rho = StochasticChoice(self.space, table)
-        estimates = bias_value = distance = None
-        if measures in ("bias", "both"):
-            markets = {m: rho.row(m) for m in MARKET_MENUS}
-            estimates = fit_aggregated_logit(StochasticChoice(self.space, markets))
-            bias_value = bias(estimates, utilities)
-        if measures in ("distance", "both"):
-            run = _frank_wolfe(self.lattice, self.lattice.values(rho))
-            if run.hit_iteration_cap:
-                raise NoConvergence(
-                    "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
-                )
-            distance = run.squared_distance
-        return SimulatedPoint(rho, estimates, bias_value, distance)
+        return self.points([(utilities, triples)], measures)[0]
 
 
 def simulate_point(
@@ -390,6 +513,12 @@ def simulate_point(
     cap raises `NoConvergence` instead of returning it.
     """
     return _World().point(utilities, triples, measures)
+
+
+#: Grid points `sweep` evaluates in one lockstep batch: enough that
+#: numpy's cost per call is spread thin, few enough that the batch's
+#: validated tables (about 2 kB a point) stay small.
+SWEEP_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -409,8 +538,10 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     UTILITY_SWEEP_TRIPLES.  The other utilities are DEFAULT_UTILITIES.
     `measures` is "bias", "distance" or "both".  Rows come out in grid
     order.  A step that does not divide its range (1 for lambda mode)
-    raises `InvalidGridStep`.  One world serves every point; a
-    Frank-Wolfe run that hits the iteration cap raises `NoConvergence`.
+    raises `InvalidGridStep`.  One world evaluates the points in
+    lockstep, SWEEP_BATCH at a time in grid order; a fit or a
+    Frank-Wolfe run that fails raises `NoConvergence`, within a batch a
+    fit's failure first.
     """
     if mode == "lambda":
         grid = [
@@ -438,9 +569,13 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
         raise ValueError(f"unknown sweep mode {mode!r}")
     world = _World()
     rows = []
-    for coords, utilities, triples in grid:
-        point = world.point(utilities, triples, measures)
-        rows.append(SweepRow(coords, point.bias, point.squared_distance))
+    for start in range(0, len(grid), SWEEP_BATCH):
+        batch = grid[start : start + SWEEP_BATCH]
+        points = world.points([(u, t) for _, u, t in batch], measures)
+        rows.extend(
+            SweepRow(coords, point.bias, point.squared_distance)
+            for (coords, _, _), point in zip(batch, points)
+        )
     return rows
 
 

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aggchoice import (
@@ -16,6 +16,7 @@ from aggchoice import (
     ChoiceDomain,
     DomainClosureViolated,
     IncompleteDomain,
+    InvalidProbability,
     LinearOrder,
     MenuCollectionFamily,
     PreferenceDistribution,
@@ -53,6 +54,12 @@ X, Y, A0 = "x", "y", "a0"
 
 def table(space, rows):
     return StochasticChoice(space, {frozenset(k): v for k, v in rows.items()})
+
+
+def least_bm_sum(rho, ground):
+    """The least Block-Marschak sum of the full domain on `ground`."""
+    values = bm_values(rho, AggregateSpace(ground, ()))
+    return min(values[k, s] for k, s in np.ndindex(values.shape) if s >> k & 1)
 
 
 class TestLimitedMonotonicity:
@@ -496,29 +503,33 @@ class TestAruBlockMarschak:
             },
         )
         report = check_aru_rational(rho, space)
-        n = len(space.members)
-        lattice = AggregateSpace(space.members, ())
-        values = bm_values(rho, lattice)
-        least = min(values[k, s] for k, s in np.ndindex(values.shape) if s >> k & 1)
-        if least < -LP_TOL or least >= -bm_tol(n):
+        n, atoms = len(space.members), len(space.atomic)
+        least = least_bm_sum(rho, space.members)
+        atomic_least = least_bm_sum(rho, space.atomic)
+        # The atomic sums are read only when no aggregate sum fails.
+        ground = space.members if least < -bm_tol(n) else space.atomic
+        if -LP_TOL <= least < -bm_tol(n) or (
+            least >= -bm_tol(n) and atomic_least < -bm_tol(atoms)
+        ):
+            # A sum over the aggregates in [-LP_TOL, -bm_tol), or an
+            # atomic sum below -bm_tol, fails the table, as the partial
+            # check fails it, whatever the LP would accept.
+            assert not report.passed and report.method == "bm"
+        else:
             # Outside the band the slack makes no difference: the LP,
             # which accepts artificial mass up to LP_TOL, agrees.
             reference = axioms._lp_rationalize(
                 rho, list(rho.menus), space.members, "aru-lp-infeasible"
             )
             assert report.passed == reference.passed
-        else:
-            # A sum in [-LP_TOL, -bm_tol) fails the table, as it fails
-            # the partial check, whatever the LP would accept.
-            assert not report.passed and report.method == "bm"
         if eps == 1.0:
             assert report.method == "bm" and report.violations
         if report.method != "bm":
             return
         for v in report.violations:
-            assert v.kind == "block-marschak" and v.lhs < -bm_tol(n)
-            replayed = bm_polynomial(rho, lattice, *v.subject)
-            assert abs(replayed - v.lhs) <= flow_tol(n)
+            assert v.kind == "block-marschak" and v.lhs < -bm_tol(len(ground))
+            replayed = bm_polynomial(rho, AggregateSpace(ground, ()), *v.subject)
+            assert abs(replayed - v.lhs) <= flow_tol(len(ground))
 
     @staticmethod
     def moved(rho, menu, source, target, eps):
@@ -552,6 +563,89 @@ class TestAruBlockMarschak:
         rho = self.moved(rho, grand, "x0", "x2", 1.5e-10)
         aru, ru = check_aru_rational(rho, space), check_ru_rational(rho, space)
         assert not aru.passed and aru.violations == ru.violations
+
+    @staticmethod
+    def perturbed(space, mixture, off, eps):
+        """The table of `mixture` with eps / 2 taken off the table of
+        each order in `off` and eps put on its first order's table."""
+        domain = ChoiceDomain.full(space)
+
+        def evaluate(order):
+            return aru_evaluate(PreferenceDistribution.degenerate(order), domain)
+
+        base = aru_evaluate(PreferenceDistribution(mixture), domain)
+        first = evaluate(next(iter(mixture)))
+        taken = [evaluate(order) for order in off]
+        return StochasticChoice(
+            space,
+            {
+                m: {
+                    a: base.prob(m, a)
+                    + eps * first.prob(m, a)
+                    - sum(eps / 2 * t.prob(m, a) for t in taken)
+                    for a in m
+                }
+                for m in domain.menus
+            },
+        )
+
+    def test_an_atomic_sum_split_over_aggregate_sums_fails_both_checks(self):
+        # With one non-atomic id, each atomic sum is the sum of two
+        # aggregate sums.  Here q(x1, {x0, x1}) is -1.5e-10, split over
+        # two aggregate sums each above -bm_tol.  The ARU check used to
+        # pass the table by the LP (a 4-order certificate) while the RU
+        # check failed it.
+        space = gen.make_space(3, 1)
+        order = lambda *ids: LinearOrder(ids)  # noqa: E731
+        mixture = {
+            order("x1", "a0", "x2", "x0"): 0.42788219581455345,
+            order("x2", "a0", "x0", "x1"): 0.3941415149116165,
+            order("a0", "x1", "x2", "x0"): 0.14191580314108385,
+            order("x0", "x2", "x1", "a0"): 0.03606048613274619,
+        }
+        off = [order("x2", "x1", "a0", "x0"), order("x2", "a0", "x1", "x0")]
+        rho = self.perturbed(space, mixture, off, 1.5e-10)
+        assert least_bm_sum(rho, space.members) >= -bm_tol(4)
+        reference = axioms._lp_rationalize(
+            rho, list(rho.menus), space.members, "aru-lp-infeasible"
+        )
+        assert reference.passed and len(reference.certificate.support) == 4
+        aru, ru = check_aru_rational(rho, space), check_ru_rational(rho, space)
+        assert not ru.passed and not aru.passed and aru.method == "bm"
+        [cell] = aru.violations
+        assert cell.subject == (frozenset({"x0", "x1"}), "x1")
+        assert -1.6e-10 < cell.lhs < -1.4e-10
+        assert ru.violations == aru.violations
+
+    @given(
+        shape=st.sampled_from([(3, 1), (2, 2), (3, 2), (4, 1)]),
+        seed=st.integers(0, 2**16),
+        support=st.integers(2, 5),
+        eps=st.sampled_from([1.5e-10, 4e-10, 1e-9]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_failing_partial_check_fails_the_aru_check(
+        self, shape, seed, support, eps
+    ):
+        # Order mixtures just off the ARU polytope: eps / 2 taken off the
+        # tables of two support orders with two neighbours swapped, and
+        # eps put on the first order's.  Where the mixture has less than
+        # eps / 2 on a cell taken from, the table is no table.
+        space = gen.make_space(*shape)
+        rng = np.random.default_rng(seed)
+        mixture = random_preferences(space.members, rng, support).weights
+        off = []
+        for _ in range(2):
+            ranking = list(list(mixture)[int(rng.integers(len(mixture)))].ranking)
+            i = int(rng.integers(len(ranking) - 1))
+            ranking[i : i + 2] = ranking[i + 1], ranking[i]
+            off.append(LinearOrder(tuple(ranking)))
+        try:
+            rho = self.perturbed(space, mixture, off, eps)
+        except InvalidProbability:
+            assume(False)
+        if not check_partial_ru(rho, space).passed:
+            assert not check_aru_rational(rho, space).passed
 
     @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2), (3, 0), (4, 0)])
     def test_an_aru_rational_boundary_table_is_ru_rational(self, shape):

@@ -1,9 +1,10 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aggchoice.geometry
@@ -41,8 +42,128 @@ from aggchoice.simulation import (
     make_world,
     simulate_point,
 )
+from aggchoice.model import realizations
 
 E = math.e
+
+
+# ---------------------------------------------------------------------------
+# The per-point reference: one softmax per realized set and one damped
+# Newton run per table, as the library computed them before it evaluated
+# grids in lockstep.  The lockstep must give the same floats.
+# ---------------------------------------------------------------------------
+
+
+def reference_menu_row(utilities, owner, menu, realized):
+    row = {a: 0.0 for a in menu}
+    for w, ids in realized:
+        for x, p in logit_choice(utilities, ids).items():
+            row[owner[x]] += w * p
+    return row
+
+
+def reference_reduce(utilities, correspondence, composition, menus):
+    owner = correspondence.owner_map()
+    table = {}
+    for menu in map(frozenset, menus):
+        realized = realizations(menu, correspondence, composition)
+        table[menu] = reference_menu_row(utilities, owner, menu, realized)
+    return StochasticChoice(correspondence.space, table)
+
+
+class ReferenceLikelihood:
+    def __init__(self, rho, params):
+        index = {a: i for i, a in enumerate(params)}
+        self.size = len(params)
+        self.menus = []
+        for menu in rho.menus:
+            items = sorted(menu)
+            shares = [rho.prob(menu, a) for a in items]
+            slots = [index.get(a) for a in items]
+            free = [(i, slot) for i, slot in enumerate(slots) if slot is not None]
+            self.menus.append((items, shares, slots, free))
+
+    def __call__(self, values):
+        ll = 0.0
+        grad = np.zeros(self.size)
+        hess = np.zeros((self.size, self.size))
+        for items, shares, slots, free in self.menus:
+            u = np.array([values.get(a, 0.0) for a in items])
+            u = u - u.max()
+            p = np.exp(u)
+            total = p.sum()
+            logits = (u - math.log(total)).tolist()
+            p = (p / total).tolist()
+            for lp, pa, share, slot in zip(logits, p, shares, slots):
+                if share > 0.0:
+                    ll += share * lp
+                if slot is not None:
+                    grad[slot] += share - pa
+            for i, gi in free:
+                for j, gj in free:
+                    hess[gi, gj] -= (1.0 if i == j else 0.0) * p[i] - p[i] * p[j]
+        return ll, grad, hess
+
+
+def reference_fit(rho, log=None):
+    """The damped Newton fit of one table; appends "halving" and
+    "lstsq" to `log` each time it takes that path."""
+    log = [] if log is None else log
+    free = simulation._check_identified(rho, simulation.PINNED)
+    values = {a: 0.0 for a in free}
+    if not free:
+        return {simulation.PINNED: 0.0}
+    log_likelihood = ReferenceLikelihood(rho, free)
+    current, grad, hess = log_likelihood(values)
+    for _ in range(simulation.MAX_NEWTON_ITERATIONS):
+        if np.abs(grad).max() <= simulation.GRADIENT_TOL:
+            return {**values, simulation.PINNED: 0.0}
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            log.append("lstsq")
+            step = np.linalg.lstsq(-hess, grad, rcond=None)[0]
+        scale = 1.0
+        for _ in range(simulation.MAX_STEP_HALVINGS):
+            trial = {a: values[a] + scale * s for a, s in zip(free, step)}
+            evaluated = log_likelihood(trial)
+            if evaluated[0] >= current - simulation.ASCENT_SLACK:
+                values = trial
+                current, grad, hess = evaluated
+                break
+            log.append("halving")
+            scale *= 0.5
+        else:
+            raise NoConvergence("step halving failed to improve the likelihood")
+    raise NoConvergence("Newton hit the iteration cap before the gradient tolerance")
+
+
+def reference_point(utilities, triples, measures, log=None):
+    """(reduced table, estimates, bias, squared distance) of one point."""
+    space, corr, domain = make_world()
+    lam = composition_from_triples(triples, domain)
+    rho = reference_reduce(utilities, corr, lam, domain.menus)
+    estimates = value = distance = None
+    if measures in ("bias", "both"):
+        markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
+        estimates = reference_fit(markets, log)
+        value = bias(estimates, utilities)
+    if measures in ("distance", "both"):
+        distance = aru_distance(rho, space).squared_distance
+    return rho, estimates, value, distance
+
+
+def odd_singular(solve):
+    """`np.linalg.solve` that calls a matrix singular when the last bit
+    of its first entry is set; a stack fails if any matrix does."""
+
+    def patched(a, b):
+        first = np.asarray(a)[..., 0, 0].reshape(-1)
+        if (first.view(np.int64) & 1).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    return patched
 
 
 class TestLogitChoice:
@@ -125,6 +246,8 @@ class TestReduceDataset:
             direct = reduce_dataset(utilities, self.corr, lam, self.domain.menus)
             forward = forward_evaluate(prefs, self.corr, lam, self.domain)
             assert direct.max_cell_difference(forward) <= 1e-10
+            reference = reference_reduce(utilities, self.corr, lam, self.domain.menus)
+            assert direct.table == reference.table
 
     def test_part_outside_its_image_raises(self):
         # y is atomic, not one of the ids a0 stands for.
@@ -200,8 +323,9 @@ class TestFit:
         )
         for _ in range(10):
             point = {"x": float(rng.normal()), "y": float(rng.normal())}
-            _, _, hess = _Likelihood(rho, sorted(point))(point)
-            eigenvalues = np.linalg.eigvalsh(hess)
+            values = np.array([[point[a] for a in sorted(point)]])
+            _, _, hess = _Likelihood([rho], sorted(point))(values, np.arange(1))
+            eigenvalues = np.linalg.eigvalsh(hess[0])
             assert (eigenvalues <= 1e-12).all()
 
     def logit_data(self):
@@ -236,10 +360,12 @@ class TestFit:
         points = []
 
         class Rejecting(_Likelihood):
-            def __call__(self, values):
-                points.append(dict(values))
-                ll, grad, hess = super().__call__(values)
-                return (-math.inf if rejects(len(points)) else ll), grad, hess
+            def __call__(self, values, which):
+                points.append(dict(zip(("x", "y"), values[0].tolist())))
+                ll, grad, hess = super().__call__(values, which)
+                if rejects(len(points)):
+                    ll = np.full_like(ll, -math.inf)
+                return ll, grad, hess
 
         monkeypatch.setattr(simulation, "_Likelihood", Rejecting)
         return points
@@ -349,6 +475,11 @@ class TestSweep:
         # u(z), u(w) in {-5, 0, 5}.
         assert len(sweep("utility", 5.0, "bias")) == 9
 
+    def test_batches_do_not_change_the_rows(self, monkeypatch):
+        whole = sweep("lambda", 0.1, "both")
+        monkeypatch.setattr(simulation, "SWEEP_BATCH", 7)
+        assert sweep("lambda", 0.1, "both") == whole
+
 
 class TestSharedWorld:
     # One world across all examples, so its cached realizations and the
@@ -372,12 +503,9 @@ class TestSharedWorld:
         triples = {
             m: tuple(p / math.fsum(t) for p in t) for m, t in zip(MARKET_MENUS, parts)
         }
-        space, corr, domain = make_world()
-        lam = composition_from_triples(triples, domain)
-        rho = reduce_dataset(utilities, corr, lam, domain.menus)
-        markets = StochasticChoice(space, {m: rho.row(m) for m in MARKET_MENUS})
-        expected_bias = bias(fit_aggregated_logit(markets), utilities)
-        expected_distance = aru_distance(rho, space).squared_distance
+        rho, _, expected_bias, expected_distance = reference_point(
+            utilities, triples, "both"
+        )
         for point in (
             self.world.point(utilities, triples, measures),
             simulate_point(utilities, triples, measures),
@@ -391,6 +519,115 @@ class TestSharedWorld:
                 assert point.squared_distance is None
             else:
                 assert point.squared_distance == expected_distance
+
+
+def odd(values):
+    """Whether the last bit of each value is set: a rule that picks
+    trial points the same way on both routes."""
+    return (np.asarray(values, dtype=float).view(np.int64) & 1).astype(bool)
+
+
+class PickyLikelihood(_Likelihood):
+    """The lockstep likelihood, falling to -inf where its last bit is set."""
+
+    def __call__(self, values, which):
+        ll, grad, hess = super().__call__(values, which)
+        return np.where(odd(ll), -math.inf, ll), grad, hess
+
+
+class PickyReference(ReferenceLikelihood):
+    def __call__(self, values):
+        ll, grad, hess = super().__call__(values)
+        return (-math.inf if odd(ll) else ll), grad, hess
+
+
+#: A (utilities, triples) point of a wide grid, and the same point with
+#: two markets at a boundary of the simplex (fewer realized sets).
+WIDE = (
+    {"x": 7.5, "y": -9.0, "z": 12.0, "w": -3.25},
+    {m: (0.2, 0.5, 0.3) for m in MARKET_MENUS},
+)
+BOUNDARY = (
+    {"x": -4.0, "y": 6.0, "z": 0.5, "w": 11.0},
+    {**{m: (0.0, 0.4, 0.6) for m in MARKET_MENUS}, MARKET_MENUS[2]: (1.0, 0.0, 0.0)},
+)
+
+
+def normalized(triple):
+    return tuple(p / math.fsum(triple) for p in triple)
+
+
+def triple():
+    # Exact zeros drop realized sets, so a batch mixes set structures.
+    part = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return st.lists(part, min_size=3, max_size=3).filter(lambda t: sum(t) > 0.1)
+
+
+class TestLockstep:
+    """A batch of points evaluated in lockstep gets the floats of the
+    per-point reference, whatever each point's halvings and solves."""
+
+    @given(
+        batch=st.lists(
+            st.tuples(
+                st.lists(st.floats(-15.0, 15.0), min_size=4, max_size=4),
+                st.lists(triple(), min_size=3, max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        measures=st.sampled_from(["both", "bias", "distance"]),
+        picky=st.booleans(),
+        singular=st.booleans(),
+    )
+    @example(batch=[], measures="bias", picky=True, singular=True)
+    @example(batch=[], measures="both", picky=False, singular=False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_point_reference(self, batch, measures, picky, singular):
+        grid = [WIDE, BOUNDARY] + [
+            (
+                dict(zip(("x", "y", "z", "w"), u)),
+                {m: normalized(t) for m, t in zip(MARKET_MENUS, ts)},
+            )
+            for u, ts in batch
+        ]
+        log: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            if singular:
+                patch.setattr(np.linalg, "solve", odd_singular(np.linalg.solve))
+            if picky:
+                patch.setattr(simulation, "_Likelihood", PickyLikelihood)
+                here = sys.modules[__name__]
+                patch.setattr(here, "ReferenceLikelihood", PickyReference)
+            points = _World().points(grid, measures)
+            expected = [reference_point(u, t, measures, log) for u, t in grid]
+        if measures != "distance":
+            assert ("halving" in log) == picky
+            assert ("lstsq" in log) == singular
+        for point, (rho, estimates, value, distance) in zip(points, expected):
+            assert point.reduced.table == rho.table
+            assert point.estimates == estimates
+            assert point.bias == value
+            assert point.squared_distance == distance
+
+    def test_a_failing_fit_raises_before_a_failing_projection(self, monkeypatch):
+        # The first point's projection and the second point's fit fail:
+        # every fit runs before any Frank-Wolfe run, so the fit's error
+        # comes first.
+        class FailsSecond(_Likelihood):
+            # Every step of the second table, away from its start at 0.
+            def __call__(self, values, which):
+                ll, grad, hess = super().__call__(values, which)
+                rejected = (which == 1) & values.any(axis=1)
+                return np.where(rejected, -math.inf, ll), grad, hess
+
+        monkeypatch.setattr(simulation, "_Likelihood", FailsSecond)
+        monkeypatch.setattr(aggchoice.geometry, "MAX_FW_ITERATIONS", 1)
+        world = _World()
+        with pytest.raises(NoConvergence, match="Frank-Wolfe"):
+            world.points([WIDE], "both")
+        with pytest.raises(NoConvergence, match="step halving"):
+            world.points([WIDE, BOUNDARY], "both")
 
 
 class TestIterationCap:
