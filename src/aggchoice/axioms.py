@@ -33,6 +33,7 @@ from .errors import (
     IncompleteDomain,
     VerificationBug,
 )
+from .lattice import _bm_flow_chains, bm_values, cell_index
 from .model import (
     AggregateSpace,
     ChoiceDomain,
@@ -43,6 +44,7 @@ from .model import (
     _check_enumerable,
     all_orders,
     aru_evaluate,
+    nonempty_subsets,
     order_events,
     verify_replay,
 )
@@ -50,7 +52,6 @@ from .tolerances import (
     AXIOM_TOL,
     CERTIFICATE_TOL,
     LP_TOL,
-    SUPPORT_FLOOR,
     bm_tol,
     flow_tol,
 )
@@ -148,34 +149,6 @@ def bm_polynomial(
     return math.fsum(terms)
 
 
-def bm_values(rho: StochasticChoice, space: AggregateSpace) -> np.ndarray:
-    """Every Block-Marschak sum of a full atomic domain, in one Möbius pass.
-
-    Entry (k, s) is ``bm_polynomial(rho, space, menu, space.atomic[k])``
-    for the atomic menu that holds ``space.atomic[j]`` exactly when bit j
-    of s is set, if it holds that id; the other entries mean nothing.
-    The pass over bit b takes each set's values minus those of the set
-    with b added, so after all n passes each entry is the alternating
-    sum over its supersets.
-    """
-    atoms = space.atomic
-    n = len(atoms)
-    values = np.zeros((n, 2**n))
-    for s in range(1, 2**n):
-        menu = frozenset(a for k, a in enumerate(atoms) if s >> k & 1)
-        if menu not in rho.table:
-            raise IncompleteDomain(
-                f"missing atomic menu {sorted(menu)} for the alternating sum"
-            )
-        for k, a in enumerate(atoms):
-            if s >> k & 1:
-                values[k, s] = rho.table[menu][a]
-    for b in range(n):
-        view = values.reshape(n, -1, 2, 2**b)
-        view[:, :, 0] -= view[:, :, 1]
-    return values
-
-
 def _bm_violations(
     rho: StochasticChoice, ground: tuple[str, ...]
 ) -> tuple[np.ndarray, tuple[Violation, ...]]:
@@ -189,12 +162,14 @@ def _bm_violations(
     """
     lattice = AggregateSpace(ground, ())
     values = bm_values(rho, lattice)
-    violations = []
-    for k, s in np.argwhere(values < -bm_tol(len(ground))).tolist():
-        if s >> k & 1:
-            menu = frozenset(a for j, a in enumerate(ground) if s >> j & 1)
-            item, value = ground[k], float(values[k, s])
-            violations.append(Violation("block-marschak", (menu, item), value, 0.0))
+    cells = [(m, a) for m in nonempty_subsets(ground) for a in m]
+    sums = values.ravel()[cell_index(ground, cells)].tolist()
+    floor = -bm_tol(len(ground))
+    violations = [
+        Violation("block-marschak", cell, value, 0.0)
+        for cell, value in zip(cells, sums)
+        if value < floor
+    ]
     violations.sort(key=lambda v: (lattice.menu_key(v.subject[0]), v.subject[1]))
     bound = flow_tol(len(ground))
     for v in violations:
@@ -206,46 +181,6 @@ def _bm_violations(
                 f"misses its alternating sum {replayed!r} (tolerance {bound!r})"
             )
     return values, tuple(violations)
-
-
-def _bm_flow_chains(values: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
-    """Split the Block-Marschak flow into chains from the empty set up.
-
-    The flow runs on the subset lattice of the n atomic ids: the edge
-    from U to U + {k} carries the sum q(k, D) of the menu D = complement
-    of U, the mass of orders that rank exactly U above k.  Sums below 0
-    (within the axiom's slack) carry 0.  Each chain runs from the empty
-    set to the full one along the edge with the largest remaining flow,
-    ties to the lowest position; it takes the smallest flow on its way,
-    which zeroes at least one edge, so there are at most n * 2^(n-1)
-    chains.  A chain that reaches a node with no flow left (a node the
-    clipping or rounding left short) is dropped.  Returns (positions,
-    weight) pairs, best id first, without the chains at or below
-    SUPPORT_FLOOR.
-    """
-    n = len(values)
-    full = 2**n - 1
-    flow = np.maximum(values, 0.0).tolist()
-    chains = []
-    while True:
-        node, path = 0, []
-        for _ in range(n):
-            rest = full ^ node
-            best = max(
-                (k for k in range(n) if rest >> k & 1),
-                key=lambda k: flow[k][rest],
-            )
-            path.append((best, rest))
-            node |= 1 << best
-        carried = [flow[k][s] for k, s in path]
-        if carried[0] <= 0.0:
-            return chains
-        short = next((j for j, f in enumerate(carried) if f <= 0.0), n)
-        weight = min(carried[:short])
-        for k, s in path[:short]:
-            flow[k][s] -= weight
-        if short == n and weight > SUPPORT_FLOOR:
-            chains.append((tuple(k for k, _ in path), weight))
 
 
 def _certified(

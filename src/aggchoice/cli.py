@@ -53,7 +53,10 @@ MAX_VERTEX_N = 13
 def _write(text: str, output: str | None) -> None:
     """Write text to the output path, or to stdout when there is none."""
     if output:
-        serialize.write_text(text, output)
+        try:
+            serialize.write_text(text, output)
+        except OSError as err:
+            raise AggChoiceError(f"cannot write {output}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -73,6 +76,10 @@ def _load(path: str) -> Manifest:
         return serialize.load(path)
     except FileNotFoundError:
         raise AggChoiceError(f"no such file: {path}") from None
+    except OSError as err:
+        raise AggChoiceError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise AggChoiceError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_choice(path: str):

@@ -20,9 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingUtility, NoConvergence, NotIdentified
-from .geometry import _frank_wolfe, _LatticeCells
 # Unused here, but bench/tracing.py patches this name at this import site.
 from .geometry import aru_distance  # noqa: F401
+from .lattice import _frank_wolfe, _LatticeCells
 from .model import (
     AggregateSpace,
     AggregationCorrespondence,
@@ -488,18 +488,6 @@ class _World:
             )
         return run.squared_distance
 
-    def point(
-        self,
-        utilities: Mapping[str, float],
-        triples: Mapping[Menu, Sequence[float]],
-        measures: str,
-    ) -> SimulatedPoint:
-        """Reduce the logit world at these utilities and market compositions.
-
-        The batch of one of `points`.
-        """
-        return self.points([(utilities, triples)], measures)[0]
-
 
 def simulate_point(
     utilities: Mapping[str, float],
@@ -512,7 +500,7 @@ def simulate_point(
     that of `aru_distance`; a Frank-Wolfe run that hits the iteration
     cap raises `NoConvergence` instead of returning it.
     """
-    return _World().point(utilities, triples, measures)
+    return _World().points([(utilities, triples)], measures)[0]
 
 
 #: Grid points `sweep` evaluates in one lockstep batch: enough that

@@ -90,6 +90,30 @@ class TestCheck:
         assert main(["check", "--input", str(bad)]) == 2
 
 
+class TestUnusableFiles:
+    # A file the CLI cannot read or write is an input error (exit 2), not
+    # an axiom violation (exit 1), and gets one line on stderr.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--input", "{dir}"],
+            ["check", "--input", "{latin1}"],
+            ["vertices", "--n", "3", "--output", "{dir}"],
+            ["sweep", "--mode", "lambda", "--grid", "0.5", "--measures", "bias",
+             "--output-csv", "{dir}"],
+        ],
+        ids=["input-dir", "input-latin1", "vertices-output-dir", "sweep-csv-dir"],
+    )
+    def test_is_usage_error(self, argv, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"space": "é"}'.encode("latin-1"))
+        paths = {"dir": str(tmp_path), "latin1": str(latin1)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+
 class TestRationalize:
     def test_round_trips_through_evaluate(
         self, tmp_path, space, domain, capsys

@@ -35,7 +35,7 @@ from aggchoice import (
 )
 from aggchoice import geometry, model
 from aggchoice.cli import main
-from aggchoice.geometry import _Corral, _LatticeCells
+from aggchoice.lattice import _Corral, _LatticeCells
 from aggchoice.model import all_orders, order_events
 from aggchoice.tolerances import GAP_TOL
 

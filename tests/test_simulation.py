@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import aggchoice.geometry
+import aggchoice.lattice
 from aggchoice import simulation
 
 from aggchoice import (
@@ -507,7 +507,7 @@ class TestSharedWorld:
             utilities, triples, "both"
         )
         for point in (
-            self.world.point(utilities, triples, measures),
+            self.world.points([(utilities, triples)], measures)[0],
             simulate_point(utilities, triples, measures),
         ):
             assert point.reduced.table == rho.table
@@ -622,7 +622,7 @@ class TestLockstep:
                 return np.where(rejected, -math.inf, ll), grad, hess
 
         monkeypatch.setattr(simulation, "_Likelihood", FailsSecond)
-        monkeypatch.setattr(aggchoice.geometry, "MAX_FW_ITERATIONS", 1)
+        monkeypatch.setattr(aggchoice.lattice, "MAX_FW_ITERATIONS", 1)
         world = _World()
         with pytest.raises(NoConvergence, match="Frank-Wolfe"):
             world.points([WIDE], "both")
@@ -633,7 +633,7 @@ class TestLockstep:
 class TestIterationCap:
     # The 3-id points need 5 to 7 Frank-Wolfe iterations, so one is too few.
     def test_capped_distance_is_not_returned(self, monkeypatch):
-        monkeypatch.setattr(aggchoice.geometry, "MAX_FW_ITERATIONS", 1)
+        monkeypatch.setattr(aggchoice.lattice, "MAX_FW_ITERATIONS", 1)
         point = simulate_point(DEFAULT_UTILITIES, UTILITY_SWEEP_TRIPLES, "bias")
         assert aru_distance(point.reduced, point.reduced.space).hit_iteration_cap
         for measures in ("distance", "both"):
