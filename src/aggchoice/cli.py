@@ -61,6 +61,17 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written before any work."""
+    for name in ("output", "output_csv", "output_svg"):
+        output = getattr(args, name, None)
+        if output:
+            try:
+                serialize.check_writable(output)
+            except OSError as err:
+                raise AggChoiceError(f"cannot write {output}: {err.strerror}") from None
+
+
 def _emit(payload: dict, output: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
 
@@ -324,7 +335,7 @@ def _cmd_simulate(args) -> int:
     return PASS
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     def fmt(value) -> str:
         if isinstance(value, float):
             return f"{value:.9g}"
@@ -332,7 +343,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    _write("\n".join(lines) + "\n", path)
+    return "\n".join(lines) + "\n"
 
 
 #: CSV columns written for each choice of --measures.
@@ -361,7 +372,8 @@ def _cmd_sweep(args) -> int:
             for r in rows
         ]
         title = f"{header[-1]} ({args.mode} sweep)"
-    _write_csv(args.output_csv, header, data)
+    # Both texts are built before either file is written.
+    csv = _csv_text(header, data)
     if args.output_svg:
         # The heatmap draws the last column over the first two.
         svg = heatmap_svg(
@@ -373,6 +385,8 @@ def _cmd_sweep(args) -> int:
             highlight=highlight,
             signed=header[-1] != "squared_distance",
         )
+    _write(csv, args.output_csv)
+    if args.output_svg:
         _write(svg, args.output_svg)
     return PASS
 
@@ -476,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except AggChoiceError as err:
         print(f"error: {err}", file=sys.stderr)

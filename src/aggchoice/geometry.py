@@ -80,12 +80,12 @@ class DistanceResult:
 def aru_distance(rho: StochasticChoice, space: AggregateSpace) -> DistanceResult:
     """Squared Euclidean distance from the data to the ARU polytope.
 
-    Runs `_frank_wolfe` from the data's cell values.  Hitting the
-    iteration cap (`lattice.MAX_FW_ITERATIONS`) is reported in the
-    result, never silent.
+    Runs `_frank_wolfe` from the data's cell values, a stack of one.
+    Hitting the iteration cap (`lattice.MAX_FW_ITERATIONS`) is reported
+    in the result, never silent.
     """
     lattice = _LatticeCells(space, rho.domain())
-    run = _frank_wolfe(lattice, lattice.values(rho))
+    (run,) = _frank_wolfe(lattice, lattice.values(rho)[None])
     members = space.members
     mixture = {
         LinearOrder(tuple(members[k] for k in order)): float(w)

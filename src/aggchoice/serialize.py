@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -190,6 +191,26 @@ def write_text(text: str, path: str) -> None:
             os.unlink(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError that `write_text` would meet at `path`, without
+    writing anything.
+
+    A directory cannot be written.  A regular file is replaced and a new
+    one created, both in the parent directory, which must exist and be
+    writable.  Anything else at the path is opened as it is, and its
+    errors show when it is written.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def save(manifest: Manifest, path: str) -> None:

@@ -412,9 +412,8 @@ class _World:
     domain's lattice cells, and each distinct set of market triples'
     realized sets per menu.  Points are then evaluated in lockstep: the
     softmax rows of all points, each point's validated table and market
-    table, one Newton run for all fits, and a Frank-Wolfe run per point.
-    The lattice's work arrays are reused, so one world serves one caller
-    at a time.
+    table, one Newton run for all fits, and one Frank-Wolfe run for all
+    projections.
     """
 
     def __init__(self):
@@ -444,10 +443,9 @@ class _World:
         """Reduce the logit world at each (utilities, market triples) pair.
 
         `measures` is "bias", "distance" or "both".  Each point gets the
-        floats it gets alone.  All fits run before any Frank-Wolfe run,
-        so a failing fit raises before a failing projection; a
-        Frank-Wolfe run that hits MAX_FW_ITERATIONS raises
-        `NoConvergence`.
+        floats it gets alone.  All fits run before the Frank-Wolfe run,
+        so a failing fit raises before a failing projection; a point
+        whose projection hits MAX_FW_ITERATIONS raises `NoConvergence`.
         """
         utilities = [u for u, _ in grid]
         realized = [self.realized(triples) for _, triples in grid]
@@ -474,19 +472,17 @@ class _World:
             estimates = _fit_lockstep(markets)
             biases = [bias(e, u) for e, u in zip(estimates, utilities)]
         if measures in ("distance", "both"):
-            distances = [self._distance(rho) for rho in reduced]
+            targets = np.array([self.lattice.values(rho) for rho in reduced])
+            runs = _frank_wolfe(self.lattice, targets)
+            if any(run.hit_iteration_cap for run in runs):
+                raise NoConvergence(
+                    "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
+                )
+            distances = [run.squared_distance for run in runs]
         return [
             SimulatedPoint(*point)
             for point in zip(reduced, estimates, biases, distances)
         ]
-
-    def _distance(self, rho: StochasticChoice) -> float:
-        run = _frank_wolfe(self.lattice, self.lattice.values(rho))
-        if run.hit_iteration_cap:
-            raise NoConvergence(
-                "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
-            )
-        return run.squared_distance
 
 
 def simulate_point(

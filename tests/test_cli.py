@@ -113,6 +113,36 @@ class TestUnusableFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
 
+    def test_an_unwritable_svg_leaves_the_csv_unwritten(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        argv = ["sweep", "--mode", "lambda", "--grid", "0.5",
+                "--output-csv", str(csv), "--output-svg", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("name", ["--output-csv", "--output-svg"])
+    def test_an_unwritable_output_is_refused_before_the_grid_runs(
+        self, name, tmp_path, monkeypatch
+    ):
+        def computed(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(aggchoice.cli, "sweep", computed)
+        csv = str(tmp_path / "x.csv") if name == "--output-svg" else str(tmp_path)
+        argv = ["sweep", "--mode", "utility", "--resolution", "0.25"]
+        argv += ["--output-csv", csv]
+        if name == "--output-svg":
+            argv += ["--output-svg", str(tmp_path / "missing" / "x.svg")]
+        assert main(argv) == 2
+
+    def test_an_output_in_a_missing_directory_is_refused(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out.json"
+        assert main(["vertices", "--n", "3", "--output", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {missing}: No such file or directory\n"
+
 
 class TestRationalize:
     def test_round_trips_through_evaluate(

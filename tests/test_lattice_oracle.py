@@ -17,8 +17,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggchoice
+import aggchoice.lattice
 from aggchoice import (
     AggChoiceError,
     AggregateSpace,
@@ -35,14 +38,16 @@ from aggchoice import (
 )
 from aggchoice import geometry, model
 from aggchoice.cli import main
-from aggchoice.lattice import _Corral, _LatticeCells
+from aggchoice.lattice import MAX_FW_ITERATIONS, _frank_wolfe, _LatticeCells
 from aggchoice.model import all_orders, order_events
-from aggchoice.tolerances import GAP_TOL
+from aggchoice.tolerances import AFFINE_TOL, GAP_TOL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(pathlib.Path(aggchoice.__file__).resolve().parent.parent)
 sys.path.insert(0, str(ROOT / "bench"))
 import instances as gen  # noqa: E402  (the benchmark's instance generator)
+
+import fw_reference  # noqa: E402  (the solo Frank-Wolfe run, beside this file)
 
 make_space = gen.make_space
 
@@ -63,8 +68,8 @@ def first_least(scores, slack=0.0):
 
 
 def lattice_order(space, domain, costs):
-    positions, least = _LatticeCells(space, domain).cheapest(costs)
-    return LinearOrder(tuple(space.members[k] for k in positions)), least
+    orders, least = _LatticeCells(space, domain).cheapest(costs[None])
+    return LinearOrder(tuple(space.members[k] for k in orders[0])), least[0]
 
 
 def scan_lmo(gradient, space, domain):
@@ -229,19 +234,19 @@ class TestCorral:
         lattice = _LatticeCells(space, domain)
         rng = np.random.default_rng(5)
         target = rng.random(len(domain.cells()))
-        corral = _Corral(target, len(domain.menus))
+        corral = fw_reference.Corral(target, len(domain.menus))
         weights = np.empty(0)
         orders = [tuple(int(k) for k in rng.permutation(4)) for _ in range(200)]
         exchanged = 0
         # All 24 vertices in turn, at spread weights: past 18, the
         # polytope's dimension plus one, each lies in the others' hull.
         for order in dict.fromkeys(orders):
-            rows = np.vstack([corral.rows, lattice.vertex(order)])
+            rows = np.vstack([corral.rows, fw_reference.vertex(lattice, order)])
             augmented = np.hstack([np.ones((len(rows), 1)), rows])
             dependent = np.linalg.matrix_rank(augmented) < len(rows)
             before = weights @ corral.rows if len(weights) else None
             size = len(corral.orders)
-            weights = corral.enter(order, lattice.vertex(order), weights)
+            weights = corral.enter(order, fw_reference.vertex(lattice, order), weights)
             if dependent:
                 exchanged += 1
                 # The point is kept; one vertex left for the new one.
@@ -277,6 +282,105 @@ class TestCorral:
         assert not result.hit_iteration_cap
         assert result.squared_distance <= 1e-20
         assert len(result.mixture) == 80 - 31 + 1
+
+
+def random_targets(space, domain, rng, count):
+    """Targets that stop at different iterations: uniform cell values
+    outside the polytope, mixtures of a few vertices inside it, and such
+    mixtures pushed a little outside."""
+    lattice = _LatticeCells(space, domain)
+    n = len(space.members)
+    targets = []
+    for kind in rng.integers(3, size=count):
+        if kind == 0:
+            targets.append(rng.random(len(lattice.cells)))
+            continue
+        orders = [tuple(rng.permutation(n).tolist()) for _ in range(rng.integers(1, 6))]
+        mix = rng.dirichlet(np.ones(len(orders))) @ lattice.vertices(orders)
+        targets.append(mix if kind == 1 else mix + rng.normal(0.0, 0.05, len(mix)))
+    return lattice, np.array(targets)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def assert_solo_floats(runs, lattice, targets):
+    """Each lockstep run equals the solo run of its target, bit for bit."""
+    assert len(runs) == len(targets)
+    for run, target in zip(runs, targets):
+        solo, _ = fw_reference.frank_wolfe(lattice, target)
+        assert run.orders == solo.orders
+        assert bits(run.weights) == bits(solo.weights)
+        assert bits(run.point) == bits(solo.point)
+        assert bits(run.squared_distance) == bits(solo.squared_distance)
+        assert bits(run.gap) == bits(solo.gap)
+        assert bits(run.trace) == bits(solo.trace)
+
+
+#: Spaces of 2 to 6 ids, and the largest batch drawn for each id count.
+LOCKSTEP_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (3, 2), (5, 1), (4, 2)]
+LOCKSTEP_BATCH = {2: 130, 3: 130, 4: 40, 5: 10, 6: 6}
+
+
+class TestLockstep:
+    """`lattice._frank_wolfe` runs a stack of targets in lockstep; each
+    must get the floats of the solo run in `fw_reference`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_row_gets_the_floats_of_its_solo_run(self, data):
+        shape = data.draw(st.sampled_from(LOCKSTEP_SHAPES), label="shape")
+        most = LOCKSTEP_BATCH[sum(shape)]
+        sizes = st.sampled_from([most, 1]) | st.integers(1, most)
+        count = data.draw(sizes, label="count")
+        partial = data.draw(st.booleans(), label="partial")
+        # A looser hull test exchanges vertices in often; its runs may not
+        # converge, so they run under a small iteration cap.
+        hull_tol = data.draw(st.sampled_from([AFFINE_TOL, 0.05, 0.3]), label="hull")
+        caps = [MAX_FW_ITERATIONS, 25, 3] if hull_tol == AFFINE_TOL else [25, 3]
+        cap = data.draw(st.sampled_from(caps), label="cap")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        space = make_space(*shape)
+        domain = partial_domain(space, rng) if partial else ChoiceDomain.full(space)
+        lattice, targets = random_targets(space, domain, rng, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aggchoice.lattice, "AFFINE_TOL", hull_tol)
+            patch.setattr(fw_reference, "AFFINE_TOL", hull_tol)
+            patch.setattr(aggchoice.lattice, "MAX_FW_ITERATIONS", cap)
+            assert_solo_floats(_frank_wolfe(lattice, targets), lattice, targets)
+
+    def test_exchanges_removals_and_the_cap_are_reached(self, monkeypatch):
+        space = make_space(4, 1)
+        rng = np.random.default_rng(1)
+        lattice, targets = random_targets(space, ChoiceDomain.full(space), rng, 40)
+        monkeypatch.setattr(aggchoice.lattice, "AFFINE_TOL", 0.05)
+        monkeypatch.setattr(fw_reference, "AFFINE_TOL", 0.05)
+        monkeypatch.setattr(aggchoice.lattice, "MAX_FW_ITERATIONS", 25)
+        stacked = []
+        remove = aggchoice.lattice._Corral._remove
+
+        def counted(self, points, drops):
+            stacked.append(len(points))
+            remove(self, points, drops)
+
+        monkeypatch.setattr(aggchoice.lattice._Corral, "_remove", counted)
+        runs = _frank_wolfe(lattice, targets)
+        assert_solo_floats(runs, lattice, targets)
+        corrals = [fw_reference.frank_wolfe(lattice, target)[1] for target in targets]
+        assert sum(corral.exchanges for corral in corrals) > 0
+        assert max(stacked) > 1  # one removal step for several points
+        capped = [run.hit_iteration_cap for run in runs]
+        assert any(capped) and not all(capped)
+        assert len({len(run.trace) for run in runs}) > 1
+
+    def test_a_stack_of_one_is_the_solo_run(self):
+        # The benchmark's 7-id polytope instance: about 70 iterations.
+        space = make_space(5, 2)
+        rho = gen.vertex_mixture("poly7", space, 1, 0, 8, force_non_aru=True).rho
+        lattice = _LatticeCells(rho.space, rho.domain())
+        target = lattice.values(rho)[None]
+        assert_solo_floats(_frank_wolfe(lattice, target), lattice, target)
 
 
 class TestLowerBound:
