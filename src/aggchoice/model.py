@@ -46,6 +46,11 @@ MAX_ENUMERATION_GROUND = 8
 #: and a large one keeps its temporaries to a few megabytes.
 EVALUATE_BLOCK = 1 << 16
 
+#: `_winners` works on this many (menu, order) entries at a time, so its
+#: temporaries stay near a megabyte at the 8! = 40320 orders of
+#: `order_events`.
+WINNER_BLOCK = 1 << 20
+
 
 def nonempty_subsets(ids: Sequence[str]) -> list[frozenset[str]]:
     """Every nonempty subset of `ids`, by size, then in combinations order."""
@@ -56,22 +61,68 @@ def nonempty_subsets(ids: Sequence[str]) -> list[frozenset[str]]:
     ]
 
 
-def _validate_simplex(weights: Mapping, what: str) -> dict:
-    """Check finiteness, nonnegativity and total mass, renormalizing tiny drift."""
+def _invalid(what: str, menu: Menu | None, problem: str) -> InvalidProbability:
+    label = what if menu is None else f"{what} {sorted(menu)}"
+    return InvalidProbability(f"{label}: {problem}")
+
+
+def _validate_simplex(weights: Mapping, what: str, menu: Menu | None = None) -> dict:
+    """Check finiteness, nonnegativity and total mass, renormalizing tiny drift.
+
+    An error names `what`, followed by the sorted `menu` when one is
+    given; the label is built only then.
+    """
     cleaned = {}
     for key, w in weights.items():
         if not math.isfinite(w):
-            raise InvalidProbability(f"{what}: non-finite weight {w!r} for {key!r}")
+            raise _invalid(what, menu, f"non-finite weight {w!r} for {key!r}")
         if w < -PROB_TOL:
-            raise InvalidProbability(f"{what}: negative weight {w!r} for {key!r}")
+            raise _invalid(what, menu, f"negative weight {w!r} for {key!r}")
         cleaned[key] = max(w, 0.0)
     # fsum rounds once, so the total does not depend on iteration order.
     total = math.fsum(cleaned.values())
     if abs(total - 1.0) > PROB_TOL:
-        raise InvalidProbability(f"{what}: total mass {total!r} differs from 1")
+        raise _invalid(what, menu, f"total mass {total!r} differs from 1")
     if total != 1.0:
         cleaned = {k: w / total for k, w in cleaned.items()}
     return cleaned
+
+
+def _validate_rows(rows: np.ndarray, cells: Sequence[tuple[Menu, str]]) -> np.ndarray:
+    """`StochasticChoice`'s check of many tables at once, as arrays.
+
+    Row i of `rows` is a table's values at `cells`, whose (menu,
+    aggregate) pairs hold each menu's cells side by side.  Returns the
+    rows with the floats `_validate_simplex` gives each menu: max(w, 0.0)
+    as a select, one `math.fsum` per menu, and w / total, which leaves w
+    as it is where the total is 1.0.  The first failing menu, in row
+    order, then in cell order, raises through `_validate_simplex` with its
+    aggregates in the menu's iteration order, so with the error a table
+    of it gets.
+    """
+    starts = [c for c in range(len(cells)) if c == 0 or cells[c][0] != cells[c - 1][0]]
+    spans = list(zip(starts, starts[1:] + [len(cells)]))
+    cleaned = np.where(rows < 0.0, 0.0, rows)
+    # An entry above 2 puts its menu's mass off whatever the other
+    # entries; left out of the sums, like the other failing entries, it
+    # keeps fsum from overflowing.
+    bad = ~np.isfinite(rows) | (rows < -PROB_TOL) | (rows > 2.0)
+    summed = np.where(bad, 0.0, cleaned).tolist()
+    totals = np.array(
+        [[math.fsum(row[lo:hi]) for lo, hi in spans] for row in summed]
+    ).reshape(len(rows), len(spans))
+    fails = np.logical_or.reduceat(bad, starts, axis=1) | (
+        np.abs(totals - 1.0) > PROB_TOL
+    )
+    if fails.any():
+        i, k = np.argwhere(fails)[0].tolist()
+        lo, hi = spans[k]
+        menu = cells[lo][0]
+        values = dict(zip([a for _, a in cells[lo:hi]], rows[i, lo:hi].tolist()))
+        _validate_simplex({a: values[a] for a in menu}, "menu", menu)
+        raise VerificationBug(f"the row check rejects menu {sorted(menu)} of row {i}")
+    sizes = np.diff(starts + [len(cells)])
+    return cleaned / np.repeat(totals, sizes, axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +294,7 @@ class StochasticChoice:
                 raise InvalidProbability(
                     f"menu {sorted(menu)}: probability assigned outside the menu"
                 )
-            validated = _validate_simplex(row, f"menu {sorted(menu)}")
+            validated = _validate_simplex(row, "menu", menu)
             cleaned[menu] = {
                 a: validated.get(a, 0.0) for a in self.space.sort(menu)
             }
@@ -378,17 +429,33 @@ def _winners(ranks: np.ndarray, menus: Sequence[Iterable[int]]) -> np.ndarray:
 
     ``ranks[x, i]`` is id x's position in order i.  Entry (j, i) is order
     i's best id in the nonempty ``menus[j]``, in the dtype of `ranks`.
+    Each (position, id) pair is packed into one unsigned key, position
+    first, so a menu's best id is its least key.  Each menu is padded to
+    the longest with its first id, whose key leaves the least as it is:
+    each place in the menus then takes one key gather and one minimum
+    across all menus, WINNER_BLOCK entries at a time.
     """
-    table = np.empty((len(menus), ranks.shape[1]), dtype=ranks.dtype)
-    for j, menu in enumerate(menus):
-        first, *rest = sorted(menu)
-        winner = table[j]
-        winner.fill(first)
-        best = ranks[first]
-        for x in rest:
-            rank = ranks[x]
-            winner[rank < best] = x
-            best = np.minimum(best, rank)
+    menus = [list(menu) for menu in menus]
+    width = max(map(len, menus), default=0)
+    ids = np.array(
+        [menu + menu[:1] * (width - len(menu)) for menu in menus], dtype=np.intp
+    ).reshape(len(menus), width)
+    size, count = ranks.shape
+    table = np.empty((len(menus), count), dtype=ranks.dtype)
+    if not table.size:
+        return table
+    shift = (size - 1).bit_length()
+    dtype = np.min_scalar_type((int(ranks.max()) << shift) | (size - 1))
+    keys = ranks.astype(dtype) << dtype.type(shift)
+    keys |= np.arange(size, dtype=dtype)[:, None]
+    step = max(1, WINNER_BLOCK // count)
+    for lo in range(0, len(menus), step):
+        block = ids[lo : lo + step]
+        least = keys[block[:, 0]]
+        for k in range(1, width):
+            np.minimum(least, keys[block[:, k]], out=least)
+        least &= dtype.type((1 << shift) - 1)
+        table[lo : lo + step] = least
     return table
 
 
@@ -530,7 +597,7 @@ class CompositionDistribution:
         cleaned: dict[Menu, dict[CompositionTuple, float]] = {}
         for menu, dist in self.per_menu.items():
             menu = frozenset(menu)
-            validated = _validate_simplex(dist, f"composition for {sorted(menu)}")
+            validated = _validate_simplex(dist, "composition for", menu)
             cleaned[menu] = {t: w for t, w in validated.items() if w > 0.0}
         object.__setattr__(self, "per_menu", cleaned)
 

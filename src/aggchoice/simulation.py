@@ -31,6 +31,7 @@ from .model import (
     CompositionTuple,
     Menu,
     StochasticChoice,
+    _validate_rows,
     realizations,
 )
 from .tolerances import ASCENT_SLACK, GRADIENT_TOL, grid_steps
@@ -72,9 +73,10 @@ def _menu_rows(
     menu: Menu,
     realized: Sequence[Sequence[tuple[float, list[str]]]],
     columns: dict[str, np.ndarray],
-) -> dict[str, list[float]]:
+) -> dict[str, np.ndarray]:
     """One menu's row at each point, in lockstep: each aggregate's
-    probability at every point.
+    probability at every point, as an array, aggregates in the menu's
+    iteration order.
 
     A point's row sums each of its realized sets' softmax mass, times
     the set's weight, within each aggregate, set by set in `realized`
@@ -105,7 +107,7 @@ def _menu_rows(
                 sums[owner[x]] += w * p[:, j]
         for a, s in sums.items():
             rows[a][at] = s
-    return {a: row.tolist() for a, row in rows.items()}
+    return rows
 
 
 def reduce_dataset(
@@ -128,20 +130,21 @@ def reduce_dataset(
         menu = frozenset(menu)
         realized = list(realizations(menu, correspondence, composition))
         rows = _menu_rows([utilities], owner, menu, [realized], columns)
-        table[menu] = {a: row[0] for a, row in rows.items()}
+        table[menu] = {a: float(row[0]) for a, row in rows.items()}
     return StochasticChoice(correspondence.space, table)
 
 
-def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
+def _check_identified(menus: Iterable[Menu], pinned: str) -> list[str]:
+    menus = list(menus)
     aggregates: set[str] = set()
-    for menu in rho.menus:
+    for menu in menus:
         aggregates |= menu
     if pinned not in aggregates:
         raise NotIdentified(f"pinned aggregate {pinned!r} appears in no menu")
     reached = {pinned}
     frontier = [pinned]
     adjacency: dict[str, set[str]] = {a: set() for a in aggregates}
-    for menu in rho.menus:
+    for menu in menus:
         for a in menu:
             adjacency[a] |= menu - {a}
     while frontier:
@@ -154,23 +157,27 @@ def _check_identified(rho: StochasticChoice, pinned: str) -> list[str]:
     return sorted(aggregates - {pinned})
 
 
+#: Per-menu shares of tables on the same menus: a row per table and a
+#: column per item of the menu, items sorted.
+Shares = Mapping[Menu, np.ndarray]
+
+
 class _Likelihood:
     """Log likelihoods of tables on the same menus, over sorted free params.
 
-    The menu layout (each menu's items sorted, the params among them and
-    every table's shares) is built once, for every evaluation of a fit.
+    `shares` holds the tables' shares, menu by menu in the order the sums
+    run.  The menu layout (the params among each menu's sorted items) is
+    built once, for every evaluation of a fit.
     """
 
-    def __init__(self, tables: Sequence[StochasticChoice], params: Sequence[str]):
+    def __init__(self, shares: Shares, params: Sequence[str]):
         index = {a: i for i, a in enumerate(params)}
         self.size = len(params)
         self.menus = []
-        for menu in tables[0].menus:
-            items = sorted(menu)
-            shares = np.array([[t.prob(menu, a) for a in items] for t in tables])
-            slots = [index.get(a) for a in items]
+        for menu, menu_shares in shares.items():
+            slots = [index.get(a) for a in sorted(menu)]
             free = [(i, slot) for i, slot in enumerate(slots) if slot is not None]
-            self.menus.append((shares, slots, free))
+            self.menus.append((menu_shares, slots, free))
 
     def __call__(
         self, values: np.ndarray, which: np.ndarray
@@ -233,21 +240,23 @@ def _newton_steps(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.array(steps)
 
 
-def _fit_lockstep(tables: Sequence[StochasticChoice]) -> list[dict[str, float]]:
+def _fit_lockstep(shares: Shares) -> list[dict[str, float]]:
     """`fit_aggregated_logit` of each table, all in one damped Newton run.
 
-    The tables must share their menus.  Each iteration solves the steps
-    of the tables still above GRADIENT_TOL together, then halves each
-    step until its table's likelihood keeps from falling; each table
-    sees the iterations, halvings and floats of its own fit.  The first
-    table to fail raises, in the order the run reaches it.
+    `shares` holds the tables' shares, menu by menu in the order of
+    `StochasticChoice.menus`.  Each iteration solves the steps of the
+    tables still above GRADIENT_TOL together, then halves each step until
+    its table's likelihood keeps from falling; each table sees the
+    iterations, halvings and floats of its own fit.  The first table to
+    fail raises, in the order the run reaches it.
     """
-    free = _check_identified(tables[0], PINNED)
+    free = _check_identified(shares, PINNED)
+    count = len(next(iter(shares.values())))
     if not free:
-        return [{PINNED: 0.0} for _ in tables]
-    likelihood = _Likelihood(tables, free)
-    active = np.arange(len(tables))
-    values = np.zeros((len(tables), len(free)))
+        return [{PINNED: 0.0} for _ in range(count)]
+    likelihood = _Likelihood(shares, free)
+    active = np.arange(count)
+    values = np.zeros((count, len(free)))
     current, grad, hess = likelihood(values, active)
     for _ in range(MAX_NEWTON_ITERATIONS):
         active = active[~(np.abs(grad[active]).max(axis=1) <= GRADIENT_TOL)]
@@ -287,7 +296,9 @@ def fit_aggregated_logit(rho: StochasticChoice) -> dict[str, float]:
     GRADIENT_TOL, or if 40 halvings of one step never keep the
     likelihood from falling.
     """
-    return _fit_lockstep([rho])[0]
+    return _fit_lockstep(
+        {m: np.array([[rho.prob(m, a) for a in sorted(m)]]) for m in rho.menus}
+    )[0]
 
 
 def bias(estimated: UtilityMap, true_utilities: UtilityMap) -> float:
@@ -346,14 +357,11 @@ def triple_to_tuples(triple: Sequence[float]) -> dict[CompositionTuple, float]:
     return {t: p for t, p in parts.items() if p > 0.0}
 
 
-def composition_from_triples(
+def _menu_triples(
     triples: Mapping[Menu, Sequence[float]], domain: ChoiceDomain
-) -> CompositionDistribution:
-    """Per-menu triples for the outside-aggregate menus of the domain.
-
-    Menus containing a0 but missing from `triples` reuse the full-menu
-    triple (markets outside the three observed ones share its mix).
-    """
+) -> dict[Menu, Sequence[float]]:
+    """The triple of each outside-aggregate menu of the domain, in domain
+    order: its own, or else the full menu's."""
     fallback = triples.get(frozenset({"x", "y", "a0"}))
     per_menu = {}
     for menu in domain.menus:
@@ -362,8 +370,22 @@ def composition_from_triples(
         triple = triples.get(frozenset(menu), fallback)
         if triple is None:
             raise KeyError(f"no composition triple for menu {sorted(menu)}")
-        per_menu[frozenset(menu)] = triple_to_tuples(triple)
-    return CompositionDistribution(per_menu)
+        per_menu[frozenset(menu)] = triple
+    return per_menu
+
+
+def composition_from_triples(
+    triples: Mapping[Menu, Sequence[float]], domain: ChoiceDomain
+) -> CompositionDistribution:
+    """Per-menu triples for the outside-aggregate menus of the domain.
+
+    Menus containing a0 but missing from `triples` reuse the full-menu
+    triple (markets outside the three observed ones share its mix).
+    """
+    per_menu = _menu_triples(triples, domain)
+    return CompositionDistribution(
+        {menu: triple_to_tuples(triple) for menu, triple in per_menu.items()}
+    )
 
 
 def simplex_grid(step: float) -> list[tuple[float, float, float]]:
@@ -408,77 +430,119 @@ class SimulatedPoint:
 class _World:
     """The world of `make_world`, built once for many simulated points.
 
-    It holds the space, correspondence, domain, owner map and the
-    domain's lattice cells, and each distinct set of market triples'
-    realized sets per menu.  Points are then evaluated in lockstep: the
-    softmax rows of all points, each point's validated table and market
-    table, one Newton run for all fits, and one Frank-Wolfe run for all
-    projections.
+    It holds the space, correspondence, domain, owner map, the domain's
+    lattice cells and where the market cells sit among them, and the
+    realized sets of each menu at each composition triple it has met.
+    Points are then evaluated in lockstep and in arrays: the softmax rows
+    of all points, one validation of them as the points' tables and one
+    more of their market rows, one Newton run for all fits, and one
+    Frank-Wolfe run for all projections.
     """
 
     def __init__(self):
         self.space, self.correspondence, self.domain = make_world()
         self.owner = self.correspondence.owner_map()
         self.lattice = _LatticeCells(self.space, self.domain)
-        self._realized: dict[frozenset, list] = {}
+        self._realized: dict[tuple, list] = {}
+        cells = self.lattice.cells
+        self.menu_cells = [(self.domain.menus.index(m), a) for m, a in cells]
+        # The market cells in MARKET_MENUS order, the order their tables
+        # are checked in, and the columns of each market's shares among
+        # them, markets in the likelihood's order.
+        self.market_cells = [(m, a) for m in MARKET_MENUS for a in self.space.sort(m)]
+        self.market_columns = [cells.index(cell) for cell in self.market_cells]
+        self.market_shares = [
+            (m, [self.market_cells.index((m, a)) for a in sorted(m)])
+            for m in self.space.sort_menus(MARKET_MENUS)
+        ]
 
     def realized(
         self, triples: Mapping[Menu, Sequence[float]]
-    ) -> list[tuple[Menu, list[tuple[float, list[str]]]]]:
-        """Each domain menu with its weighted realized sets at `triples`."""
-        key = frozenset((frozenset(m), tuple(t)) for m, t in triples.items())
-        if key not in self._realized:
-            composition = composition_from_triples(triples, self.domain)
-            self._realized[key] = [
-                (menu, list(realizations(menu, self.correspondence, composition)))
-                for menu in self.domain.menus
-            ]
-        return self._realized[key]
+    ) -> list[list[tuple[float, list[str]]]]:
+        """Each domain menu's weighted realized sets at `triples`.
+
+        They are cached per menu and triple, so points that differ in one
+        market's triple share the other menus' sets.
+        """
+        per_menu = _menu_triples(triples, self.domain)
+        out = []
+        for menu in self.domain.menus:
+            triple = per_menu.get(menu)
+            key = (menu, None if triple is None else tuple(triple))
+            if key not in self._realized:
+                parts = {} if triple is None else {menu: triple_to_tuples(triple)}
+                composition = CompositionDistribution(parts)
+                self._realized[key] = list(
+                    realizations(menu, self.correspondence, composition)
+                )
+            out.append(self._realized[key])
+        return out
+
+    def measure(
+        self,
+        grid: Sequence[tuple[UtilityMap, Mapping[Menu, Sequence[float]]]],
+        measures: str,
+    ) -> tuple[np.ndarray, list, list, list]:
+        """Reduce the logit world at each (utilities, market triples) pair
+        and measure it, building no table.
+
+        Returns the softmax rows, a row per point over `lattice.cells`,
+        and each point's estimates, bias and squared distance, None where
+        `measures` ("bias", "distance" or "both") leaves them out.  Each
+        float is the one `points` gets alone: the rows are validated as
+        each point's table, then its market rows once more as the market
+        table, which may renormalize them again.  A row that fails
+        raises, first point first, then first menu, with the error of its
+        table.  All fits run before the Frank-Wolfe run, so a failing fit
+        raises before a failing projection; a point whose projection hits
+        MAX_FW_ITERATIONS raises `NoConvergence`.
+        """
+        utilities = [u for u, _ in grid]
+        realized = [self.realized(triples) for _, triples in grid]
+        columns: dict[str, np.ndarray] = {}
+        rows = [
+            _menu_rows(utilities, self.owner, menu, [r[k] for r in realized], columns)
+            for k, menu in enumerate(self.domain.menus)
+        ]
+        raw = np.column_stack([rows[k][a] for k, a in self.menu_cells])
+        values = _validate_rows(raw, self.lattice.cells)
+        estimates: list = [None] * len(grid)
+        biases: list = [None] * len(grid)
+        distances: list = [None] * len(grid)
+        if measures in ("bias", "both"):
+            markets = _validate_rows(values[:, self.market_columns], self.market_cells)
+            estimates = _fit_lockstep(
+                {m: markets[:, at] for m, at in self.market_shares}
+            )
+            biases = [bias(e, u) for e, u in zip(estimates, utilities)]
+        if measures in ("distance", "both"):
+            runs = _frank_wolfe(self.lattice, values)
+            if any(run.hit_iteration_cap for run in runs):
+                raise NoConvergence(
+                    "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
+                )
+            distances = [run.squared_distance for run in runs]
+        return raw, estimates, biases, distances
 
     def points(
         self,
         grid: Sequence[tuple[UtilityMap, Mapping[Menu, Sequence[float]]]],
         measures: str,
     ) -> list[SimulatedPoint]:
-        """Reduce the logit world at each (utilities, market triples) pair.
+        """`measure` at each point, with its reduced table.
 
         `measures` is "bias", "distance" or "both".  Each point gets the
-        floats it gets alone.  All fits run before the Frank-Wolfe run,
-        so a failing fit raises before a failing projection; a point
-        whose projection hits MAX_FW_ITERATIONS raises `NoConvergence`.
+        floats it gets alone, and its table is built and validated from
+        its softmax rows.
         """
-        utilities = [u for u, _ in grid]
-        realized = [self.realized(triples) for _, triples in grid]
-        columns: dict[str, np.ndarray] = {}
-        rows = []
-        for k, menu in enumerate(self.domain.menus):
-            sets = [r[k][1] for r in realized]
-            rows.append((menu, _menu_rows(utilities, self.owner, menu, sets, columns)))
-        reduced = [
-            StochasticChoice(
-                self.space,
-                {menu: {a: probs[i] for a, probs in row.items()} for menu, row in rows},
-            )
-            for i in range(len(grid))
-        ]
-        estimates: list = [None] * len(grid)
-        biases: list = [None] * len(grid)
-        distances: list = [None] * len(grid)
-        if measures in ("bias", "both"):
-            markets = [
-                StochasticChoice(self.space, {m: rho.row(m) for m in MARKET_MENUS})
-                for rho in reduced
-            ]
-            estimates = _fit_lockstep(markets)
-            biases = [bias(e, u) for e, u in zip(estimates, utilities)]
-        if measures in ("distance", "both"):
-            targets = np.array([self.lattice.values(rho) for rho in reduced])
-            runs = _frank_wolfe(self.lattice, targets)
-            if any(run.hit_iteration_cap for run in runs):
-                raise NoConvergence(
-                    "Frank-Wolfe hit the iteration cap before the duality-gap tolerance"
-                )
-            distances = [run.squared_distance for run in runs]
+        raw, estimates, biases, distances = self.measure(grid, measures)
+        cells = self.lattice.cells
+        reduced = []
+        for row in raw.tolist():
+            table: dict[Menu, dict[str, float]] = {}
+            for (menu, a), p in zip(cells, row):
+                table.setdefault(menu, {})[a] = p
+            reduced.append(StochasticChoice(self.space, table))
         return [
             SimulatedPoint(*point)
             for point in zip(reduced, estimates, biases, distances)
@@ -501,7 +565,7 @@ def simulate_point(
 
 #: Grid points `sweep` evaluates in one lockstep batch: enough that
 #: numpy's cost per call is spread thin, few enough that the batch's
-#: validated tables (about 2 kB a point) stay small.
+#: arrays stay small.
 SWEEP_BATCH = 128
 
 
@@ -522,10 +586,10 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     UTILITY_SWEEP_TRIPLES.  The other utilities are DEFAULT_UTILITIES.
     `measures` is "bias", "distance" or "both".  Rows come out in grid
     order.  A step that does not divide its range (1 for lambda mode)
-    raises `InvalidGridStep`.  One world evaluates the points in
-    lockstep, SWEEP_BATCH at a time in grid order; a fit or a
-    Frank-Wolfe run that fails raises `NoConvergence`, within a batch a
-    fit's failure first.
+    raises `InvalidGridStep`.  One world measures the points in
+    lockstep and in arrays, SWEEP_BATCH at a time in grid order, and
+    builds no table; a fit or a Frank-Wolfe run that fails raises
+    `NoConvergence`, within a batch a fit's failure first.
     """
     if mode == "lambda":
         grid = [
@@ -555,10 +619,12 @@ def sweep(mode: str, step: float, measures: str) -> list[SweepRow]:
     rows = []
     for start in range(0, len(grid), SWEEP_BATCH):
         batch = grid[start : start + SWEEP_BATCH]
-        points = world.points([(u, t) for _, u, t in batch], measures)
+        _, _, biases, distances = world.measure(
+            [(u, t) for _, u, t in batch], measures
+        )
         rows.extend(
-            SweepRow(coords, point.bias, point.squared_distance)
-            for (coords, _, _), point in zip(batch, points)
+            SweepRow(coords, b, d)
+            for (coords, _, _), b, d in zip(batch, biases, distances)
         )
     return rows
 

@@ -109,6 +109,140 @@ class TestValidation:
                 {LinearOrder(("x", "y")): 0.5, LinearOrder(("x", "z")): 0.5}
             )
 
+    def test_messages_name_the_sorted_menu(self, three_space):
+        menu = frozenset({Y, A0, X})
+        with pytest.raises(InvalidProbability) as err:
+            StochasticChoice(three_space, {menu: {X: 0.5, Y: 0.25, A0: 0.5}})
+        assert str(err.value) == (
+            "menu ['a0', 'x', 'y']: total mass 1.25 differs from 1"
+        )
+        with pytest.raises(InvalidProbability) as err:
+            CompositionDistribution(
+                {menu: {CompositionTuple.of({A0: {"z"}}): -0.5}}
+            )
+        assert str(err.value) == (
+            "composition for ['a0', 'x', 'y']: negative weight -0.5 for "
+            "CompositionTuple(parts=(('a0', frozenset({'z'})),))"
+        )
+        with pytest.raises(InvalidProbability) as err:
+            PreferenceDistribution({LinearOrder(("x", "y")): math.inf})
+        assert str(err.value) == (
+            "preference distribution: non-finite weight inf for "
+            "LinearOrder(ranking=('x', 'y'))"
+        )
+
+
+#: The cells of the full domain on {x, y, a0}: seven menus of one to
+#: three cells each, side by side.
+CELLS = ChoiceDomain.full(AggregateSpace((X, Y), (A0,))).cells()
+STARTS = [c for c in range(len(CELLS)) if c == 0 or CELLS[c][0] != CELLS[c - 1][0]]
+
+
+def table_errors(rows):
+    """The type and message of the first table of `rows` whose check
+    fails, each menu's row built in the menu's iteration order, or None."""
+    space = AggregateSpace((X, Y), (A0,))
+    menus = dict.fromkeys(m for m, _ in CELLS)
+    for row in rows.tolist():
+        values = dict(zip(CELLS, row))
+        try:
+            StochasticChoice(space, {m: {a: values[m, a] for a in m} for m in menus})
+        except (InvalidProbability, OverflowError) as err:
+            return type(err), str(err)
+    return None
+
+
+@st.composite
+def near_simplex_rows(draw):
+    """Rows of CELLS values: each menu a random simplex point with some
+    zeros, some entries moved within PROB_TOL, negated (a zero to -0.0)
+    or clipped, and some entries off the simplex."""
+    count = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(count):
+        row = []
+        for lo, hi in zip(STARTS, STARTS[1:] + [len(CELLS)]):
+            weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+            weights = draw(
+                st.lists(weight, min_size=hi - lo, max_size=hi - lo).filter(
+                    lambda w: math.fsum(w) > 0.0
+                )
+            )
+            row += [w / math.fsum(weights) for w in weights]
+        rows.append(row)
+    edits = st.tuples(
+        st.integers(0, max(count - 1, 0)),
+        st.integers(0, len(CELLS) - 1),
+        st.one_of(
+            st.floats(-9e-13, 9e-13).map(lambda d: ("drift", d)),
+            st.sampled_from(
+                [("negate", 0.0), ("set", -0.0), ("set", -5e-13), ("set", -1e-12)]
+            ),
+            st.sampled_from(
+                [
+                    ("set", math.nan),
+                    ("set", math.inf),
+                    ("set", -math.inf),
+                    ("set", -2e-12),
+                    ("set", 1e308),
+                    ("drift", 1e-6),
+                ]
+            ),
+        ),
+    )
+    for i, c, (kind, value) in draw(st.lists(edits, max_size=4)) if count else []:
+        if kind == "drift":
+            rows[i][c] += value
+        else:
+            rows[i][c] = -rows[i][c] if kind == "negate" else value
+    return np.array(rows, dtype=float).reshape(count, len(CELLS))
+
+
+class TestValidateRows:
+    """`_validate_rows` is `StochasticChoice`'s check of each row's tables."""
+
+    @given(rows=near_simplex_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_table_check(self, rows):
+        expected = table_errors(rows)
+        if expected is not None:
+            with pytest.raises(expected[0]) as err:
+                model._validate_rows(rows, CELLS)
+            assert str(err.value) == expected[1]
+            return
+        cleaned = [
+            [
+                model._validate_simplex(
+                    {a: row[c] for c, (m, a) in enumerate(CELLS) if m == menu}, "menu"
+                )[a]
+                for menu, a in CELLS
+            ]
+            for row in rows.tolist()
+        ]
+        got = model._validate_rows(rows, CELLS)
+        assert got.shape == rows.shape
+        assert got.tobytes() == np.array(cleaned).reshape(rows.shape).tobytes()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "non-finite weight nan for 'y'"),
+            (-2e-12, "negative weight -2e-12 for 'y'"),
+            (0.5, "total mass 1.1666666666666665 differs from 1"),
+        ],
+    )
+    def test_first_failing_menu_raises_its_table_error(self, value, message):
+        # Rows 1 and 2 fail in the grand menu and row 2 also in {y}: the
+        # error is row 1's.
+        rows = np.array([[1 / len(m) for m, _ in CELLS]] * 3)
+        grand = CELLS.index((frozenset({X, Y, A0}), Y))
+        rows[1:, grand] = value
+        rows[2, CELLS.index((frozenset({Y}), Y))] = math.inf
+        with pytest.raises(InvalidProbability) as err:
+            model._validate_rows(rows, CELLS)
+        assert str(err.value) == f"menu ['a0', 'x', 'y']: {message}"
+        assert (InvalidProbability, str(err.value)) == table_errors(rows)
+
 
 class TestDomain:
     def test_full_domain_size(self, three_space):

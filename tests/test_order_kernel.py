@@ -41,7 +41,14 @@ from aggchoice import (
     unconditional_joint,
     vertex_choice,
 )
-from aggchoice.model import EMPTY_TUPLE, _winners, all_orders, order_events
+from aggchoice import model
+from aggchoice.model import (
+    EMPTY_TUPLE,
+    _permutation_table,
+    _winners,
+    all_orders,
+    order_events,
+)
 from conftest import random_composition, random_preferences
 
 SPACE5 = AggregateSpace(("x", "y", "z"), ("a0", "a1"))
@@ -155,6 +162,56 @@ class TestKernel:
             order_events(("a", "b"), [(menu("a", "z"), "a")])
         with pytest.raises(GroundMismatch):
             order_events(("a", "b"), [(menu("a", "b"), "z")])
+
+
+def reference_winners(ranks, menus):
+    """The per-id loop `_winners` replaced: per menu, one compare and one
+    minimum per id."""
+    table = np.empty((len(menus), ranks.shape[1]), dtype=ranks.dtype)
+    for j, menu in enumerate(menus):
+        first, *rest = sorted(menu)
+        winner = table[j]
+        winner.fill(first)
+        best = ranks[first]
+        for x in rest:
+            rank = ranks[x]
+            winner[rank < best] = x
+            best = np.minimum(best, rank)
+    return table
+
+
+class TestWinnerKernel:
+    """The kernel per position gives the table of the per-id loop."""
+
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 5, 1000, model.WINNER_BLOCK]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_id_loop(self, n, seed, block):
+        rng = np.random.default_rng(seed)
+        ranks = _permutation_table(n)
+        if rng.random() < 0.5:  # a support: some orders, repeated, in any order
+            ranks = ranks[:, rng.integers(0, ranks.shape[1], size=rng.integers(1, 50))]
+        menus = [
+            rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+            for _ in range(rng.integers(0, 12))
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "WINNER_BLOCK", block)
+            table = _winners(ranks, menus)
+        assert table.dtype == ranks.dtype
+        assert table.tobytes() == reference_winners(ranks, menus).tobytes()
+
+    def test_a_call_across_blocks_at_eight_ids(self):
+        # Every menu of 8 ids over all 40320 orders: 26 menus fill a block.
+        ranks = _permutation_table(8)
+        menus = [
+            list(m) for r in range(1, 9) for m in itertools.combinations(range(8), r)
+        ]
+        assert len(menus) > model.WINNER_BLOCK // ranks.shape[1]
+        assert np.array_equal(_winners(ranks, menus), reference_winners(ranks, menus))
 
 
 class TestGolden:

@@ -14,6 +14,7 @@ from aggchoice import (
     AggregateSpace,
     CompositionDistribution,
     CompositionTuple,
+    InvalidProbability,
     InvalidTuple,
     LinearOrder,
     MissingLambdaForMenu,
@@ -42,7 +43,9 @@ from aggchoice.simulation import (
     make_world,
     simulate_point,
 )
-from aggchoice.model import realizations
+from aggchoice.model import _validate_rows, realizations
+
+import sweep_reference  # the sweep through table objects, beside this file
 
 E = math.e
 
@@ -109,7 +112,7 @@ def reference_fit(rho, log=None):
     """The damped Newton fit of one table; appends "halving" and
     "lstsq" to `log` each time it takes that path."""
     log = [] if log is None else log
-    free = simulation._check_identified(rho, simulation.PINNED)
+    free = simulation._check_identified(rho.menus, simulation.PINNED)
     values = {a: 0.0 for a in free}
     if not free:
         return {simulation.PINNED: 0.0}
@@ -324,7 +327,10 @@ class TestFit:
         for _ in range(10):
             point = {"x": float(rng.normal()), "y": float(rng.normal())}
             values = np.array([[point[a] for a in sorted(point)]])
-            _, _, hess = _Likelihood([rho], sorted(point))(values, np.arange(1))
+            shares = {
+                m: np.array([[rho.prob(m, a) for a in sorted(m)]]) for m in rho.menus
+            }
+            _, _, hess = _Likelihood(shares, sorted(point))(values, np.arange(1))
             eigenvalues = np.linalg.eigvalsh(hess[0])
             assert (eigenvalues <= 1e-12).all()
 
@@ -628,6 +634,145 @@ class TestLockstep:
             world.points([WIDE], "both")
         with pytest.raises(NoConvergence, match="step halving"):
             world.points([WIDE, BOUNDARY], "both")
+
+
+def outcome(route):
+    """What `route()` returns, or the type and message of what it raises."""
+    try:
+        return route()
+    except (InvalidProbability, OverflowError) as err:
+        return type(err), str(err)
+
+
+def faulty_rows(faults):
+    """`_menu_rows` with the entries `faults` names changed: each fault is
+    (point, menu index, kind)."""
+    menu_rows = simulation._menu_rows
+    menus = make_world()[2].menus
+
+    def patched(utilities, owner, menu, realized, columns):
+        rows = menu_rows(utilities, owner, menu, realized, columns)
+        for point, at, kind in faults:
+            row = rows[min(menu)]  # the first aggregate in sorted order
+            if menus[at] != menu or point >= len(row):
+                continue
+            if kind == "drift":  # renormalized
+                row[point] += 3e-13
+            elif kind == "clip":  # moved to the last aggregate, less 4e-13
+                rows[max(menu)][point] += row[point]
+                row[point] = -4e-13
+            elif kind == "mass":
+                row[point] += 1e-6
+            else:
+                row[point] = {"nan": math.nan, "inf": math.inf, "negative": -1e-6}[kind]
+        return rows
+
+    return patched
+
+
+class TestArrayRoute:
+    """The sweep validates each batch's rows as arrays and builds no
+    table: each point gets the floats, and each failing point the error,
+    of the route through its table objects."""
+
+    @staticmethod
+    def same(points, expected):
+        for point, reference in zip(points, expected, strict=True):
+            assert point.reduced.table == reference.reduced.table
+            assert point.estimates == reference.estimates
+            for got, want in (
+                (point.bias, reference.bias),
+                (point.squared_distance, reference.squared_distance),
+            ):
+                assert (got is None and want is None) or got.hex() == want.hex()
+
+    @given(
+        batch=st.lists(
+            st.tuples(
+                st.lists(st.floats(-15.0, 15.0), min_size=4, max_size=4),
+                st.lists(triple(), min_size=3, max_size=3),
+            ),
+            max_size=4,
+        ),
+        measures=st.sampled_from(["both", "bias", "distance"]),
+        faults=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 6),
+                st.sampled_from(["drift", "clip", "mass", "nan", "inf", "negative"]),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_points_match_the_table_route(self, batch, measures, faults):
+        grid = [WIDE, BOUNDARY] + [
+            (
+                dict(zip(("x", "y", "z", "w"), u)),
+                {m: normalized(t) for m, t in zip(MARKET_MENUS, ts)},
+            )
+            for u, ts in batch
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_menu_rows", faulty_rows(faults))
+            points = outcome(lambda: _World().points(grid, measures))
+            expected = outcome(lambda: sweep_reference.points(_World(), grid, measures))
+        if isinstance(expected, tuple):
+            assert points == expected
+        else:
+            self.same(points, expected)
+
+    def test_a_non_finite_utility_raises_the_table_error(self):
+        utilities = {**DEFAULT_UTILITIES, "w": math.nan}
+        grid = [WIDE, (utilities, UTILITY_SWEEP_TRIPLES)]
+        error = outcome(lambda: _World().points(grid, "both"))
+        assert error[0] is InvalidProbability and "non-finite weight nan" in error[1]
+        assert error == outcome(lambda: sweep_reference.points(_World(), grid, "both"))
+
+    @pytest.mark.parametrize("mode, step", [("lambda", 0.1), ("utility", 0.5)])
+    def test_bench_grids_match_the_table_route(self, mode, step, monkeypatch):
+        def hexes(rows):
+            return [(r.point, r.bias.hex(), r.squared_distance.hex()) for r in rows]
+
+        rows = hexes(sweep(mode, step, "both"))
+
+        def measure(world, grid, measures):
+            points = sweep_reference.points(world, grid, measures)
+            columns = zip(*((p.estimates, p.bias, p.squared_distance) for p in points))
+            return (None, *columns)
+
+        monkeypatch.setattr(_World, "measure", measure)
+        assert hexes(sweep(mode, step, "both")) == rows
+
+    def test_the_market_rows_need_their_second_validation(self):
+        # Validating a validated row can renormalize it again, so the
+        # market rows keep their second pass.
+        world = _World()
+        marks = [simulation.UTILITY_LOW + 0.5 * i for i in range(21)]
+        grid = [
+            ({**DEFAULT_UTILITIES, "z": uz, "w": uw}, UTILITY_SWEEP_TRIPLES)
+            for uz in marks
+            for uw in marks
+        ]
+        raw, *_ = world.measure(grid, "distance")
+        once = _validate_rows(raw, world.lattice.cells)[:, world.market_columns]
+        twice = _validate_rows(once, world.market_cells)
+        changed = np.logical_or.reduceat(once != twice, [0, 2, 4], axis=1)
+        assert int(changed.sum()) == 142 and changed.size == 1323
+
+    def test_realized_sets_are_cached_per_menu(self):
+        # Two lambda points differ in one market's triple: every other
+        # menu's realized sets are the same cached list.
+        world = _World()
+        first, second = (
+            world.realized(
+                {**simulation.LAMBDA_SWEEP_TRIPLES, simulation.LAMBDA_SWEEP_MENU: t}
+            )
+            for t in ((0.2, 0.3, 0.5), (0.6, 0.1, 0.3))
+        )
+        shared = [a is b for a, b in zip(first, second)]
+        varied = world.domain.menus.index(simulation.LAMBDA_SWEEP_MENU)
+        assert shared == [k != varied for k in range(len(shared))]
 
 
 class TestIterationCap:
