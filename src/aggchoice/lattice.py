@@ -145,6 +145,7 @@ class _Lattice:
     # the next level (0 for the ids inside U).
     after: tuple[np.ndarray, ...]
     ahead: tuple[tuple[int, ...], ...]  # per set and id k: the number of U | {k}
+    next_place: np.ndarray  # `ahead` flattened: at place U * n + k, U | {k}
     last: np.ndarray  # the places of the edges of the sets of n - 1 ids
 
 
@@ -191,6 +192,7 @@ def _lattice(n: int) -> _Lattice:
         tuple(spans),
         tuple(after),
         tuple(tuple(ahead[place * n : place * n + n]) for place in range(1 << n)),
+        np.array(ahead),
         np.array([number[full ^ 1 << k] * n + k for k in reversed(range(n))]),
     )
 
@@ -227,7 +229,7 @@ class _LatticeCells:
         place[-1] = len(self.cells) + 1
         self.gather = place[self.lattice.gather]
 
-    def cheapest(self, costs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    def cheapest(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each row of `costs`, the first order, in `all_orders` order,
         picking the cheapest cells.
 
@@ -242,12 +244,14 @@ class _LatticeCells:
         optimum in `all_orders` order.  Path costs within ORDER_TIE_TOL
         times the total absolute cost of each other count as equal, so a
         tie of the exact sums is not broken by rounding.  Returns each
-        row's order, as positions best first, and its least total.
+        row's order, a row of positions best first, and its least total.
 
         All rows run in one pass, each with the floats a pass of its own
         gives: the segment sums of `np.add.reduceat` and the row sums run
         along each row of a C-ordered array as they run along a 1-D one,
-        and the rest is elementwise, minima and comparisons.
+        and the rest is elementwise, minima and comparisons.  The walks
+        take one step of every row at a time; a single row walks in
+        Python, which is quicker for one.
         """
         lattice, n = self.lattice, self.n
         costs = np.ascontiguousarray(costs)
@@ -274,32 +278,41 @@ class _LatticeCells:
         slack = ORDER_TIE_TOL * np.add.reduce(np.abs(costs), axis=1)
         bound = np.concatenate(leasts[::-1], axis=1) + slack[:, None]
         steps = (paths[:, :-1] <= bound[:, :, None]).argmax(axis=2)
-        orders = []
-        for row in steps.tolist():
-            order, at = [], 0
+        if count == 1:
+            row, order, at = steps[0].tolist(), [], 0
             for _ in range(n):
                 order.append(k := row[at])
                 at = lattice.ahead[at][k]
-            orders.append(tuple(order))
+            return np.array([order]), least[:, 0]
+        orders = np.empty((count, n), int)
+        rows = np.arange(0, steps.size, steps.shape[1])  # each row's empty set
+        at = np.zeros(count, int)
+        for i in range(n):
+            orders[:, i] = k = steps.take(rows + at)
+            at = lattice.next_place.take(at * n + k)
         return orders, least[:, 0]
 
-    def vertices(self, orders: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """The 0/1 rows of the cells each order (positions, best first)
-        picks.
+    def vertices(self, orders: np.ndarray) -> np.ndarray:
+        """The 0/1 rows of the cells each order, a row of positions best
+        first, picks.
 
         Cell (A, k) is picked when none of A's ids comes before k, that
         is, when A's mask shares no bit with the mask of the ids placed
-        before k.
+        before k: the OR of the bits before k in the order.
         """
-        before = []
-        for order in orders:
-            row, placed = [0] * self.n, 0
-            for k in order:
-                row[k] = placed
+        orders = np.asarray(orders)
+        if len(orders) == 1:  # quicker in Python for one
+            before, placed = [0] * self.n, 0
+            for k in orders[0].tolist():
+                before[k] = placed
                 placed |= 1 << k
-            before.append(row)
-        before = np.array(before).take(self.ids, axis=1)
-        return ((self.masks & before) == 0).astype(float)
+            before = np.array([before])
+        else:
+            bits = np.left_shift(1, orders)
+            before = np.empty_like(orders)
+            placed = np.bitwise_or.accumulate(bits, axis=1) ^ bits
+            before[np.arange(len(orders))[:, None], orders] = placed
+        return ((self.masks & before.take(self.ids, axis=1)) == 0).astype(float)
 
     def cheapest_ru(
         self, costs: np.ndarray
@@ -314,8 +327,8 @@ class _LatticeCells:
         menus by target, and the vertex's 0/1 row.
         """
         best = np.minimum.reduceat(np.where(self.deviant, costs, np.inf), self.starts)
-        (positions,), _ = self.cheapest(np.minimum(costs, best[self.menu_of])[None])
-        row = self.vertices([positions])[0]
+        orders, _ = self.cheapest(np.minimum(costs, best[self.menu_of])[None])
+        row = self.vertices(orders)[0]
         picks = np.flatnonzero(row)  # one per menu, in menu order
         hits = np.flatnonzero(self.deviant & (costs == best[self.menu_of]))
         menus, first = np.unique(self.menu_of[hits], return_index=True)
@@ -326,7 +339,7 @@ class _LatticeCells:
             menu, a = self.cells[targets[j]]
             deviations.setdefault(a, []).append(menu)
         family = MenuCollectionFamily({a: frozenset(m) for a, m in deviations.items()})
-        order = LinearOrder(tuple(self.space.members[k] for k in positions))
+        order = LinearOrder(tuple(self.space.members[k] for k in orders[0].tolist()))
         return order, family, row
 
     def values(self, rho: StochasticChoice) -> np.ndarray:
@@ -379,11 +392,13 @@ class _Corral:
     cells.
 
     Point p's vertices fill the first `sizes[p]` places of its slab in
-    capacity buffers (rows, their dots with the target, weights, R and
-    S), so a vertex enters or leaves without a copy of the others.  The
-    methods take a set of points, as ascending indices, and step them
-    together: each product is one stacked `np.matmul` over the points
-    of one active-set size k, on views of their slabs when they are
+    capacity buffers (orders, rows, their dots with the target, weights,
+    R and S), so a vertex enters or leaves without a copy of the others.
+    An order is a row of positions, best first; the order places past a
+    point's size hold -1, so they match no order.  The methods take a
+    set of points, as ascending indices, and step them together: each
+    product is one stacked `np.matmul` over the points of one
+    active-set size k, on views of their slabs when they are
     consecutive.  numpy makes for each item of a stack the cblas call
     that the product of that item alone makes, with the same shape and
     the same unit stride along its rows, so each point gets the floats
@@ -394,19 +409,21 @@ class _Corral:
     rounding, so the result would depend on the thread count.
     """
 
-    def __init__(self, targets: np.ndarray, menus: int):
+    def __init__(self, targets: np.ndarray, menus: int, n: int):
         count, cells = targets.shape
         self.targets = targets
         self.offsets = 1.0 + _dots(targets, targets)
         self.menus = menus
-        self.orders: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
         self.sizes = np.zeros(count, int)
+        self.orders = np.empty((count, 0, n), int)
+        self.order_item = np.dtype((np.void, self.orders.itemsize * n))
         self.rows = np.empty((count, 0, cells))
         self.dots = np.empty((count, 0))  # each row's product with the target
         self.weights = np.empty((count, 0))
         self.factor = np.empty((count, 0, 0))  # R
         self.inverse = np.empty((count, 0, 0))  # S = R^-1
-        self._reserve(8)
+        # n ids have n! orders, so that many vertices at most.
+        self._reserve(min(8, math.factorial(n)))
 
     def _reserve(self, size: int) -> None:
         """Room for `size` vertices a point, at least doubling the room."""
@@ -415,6 +432,9 @@ class _Corral:
             return
         capacity = max(size, 2 * capacity)
         count, cells = self.targets.shape
+        orders = np.full((count, capacity, self.orders.shape[2]), -1)
+        orders[:, : self.orders.shape[1]] = self.orders
+        self.orders = orders
         for name, shape in (
             ("rows", (count, capacity, cells)),
             ("dots", (count, capacity)),
@@ -456,9 +476,18 @@ class _Corral:
             out[at] = rows
         return out
 
-    def enter(
-        self, points: np.ndarray, orders: list[tuple[int, ...]], rows: np.ndarray
-    ) -> None:
+    def lacks(self, points: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        """Whether `orders[i]` is missing from the active orders of
+        `points[i]`.
+
+        Each order is compared whole: its row of positions is viewed as
+        one opaque item of its bytes, `order_item`.
+        """
+        held = self.orders if len(points) == len(self.orders) else self.orders[points]
+        held = held.view(self.order_item)[:, :, 0]
+        return (held != orders.view(self.order_item)).all(axis=1)
+
+    def enter(self, points: np.ndarray, orders: np.ndarray, rows: np.ndarray) -> None:
         """Add to each point its vertex: `orders[i]`, of 0/1 row `rows[i]`,
         to `points[i]`.
 
@@ -471,9 +500,10 @@ class _Corral:
         keeps the point; theta stops where the first active vertex
         reaches weight 0 and leaves.
         """
-        dots = _dots(rows, self.targets[points])
+        every = len(points) == len(self.targets)
+        dots = _dots(rows, self.targets if every else self.targets[points])
         for k, slabs, at in self._groups(points):
-            row, dot = rows[at], dots[at]
+            order, row, dot = orders[at], rows[at], dots[at]
             projected, pivot, corner = self._border(slabs, k, row, dot)
             hull = pivot <= AFFINE_TOL * corner
             if hull.any():
@@ -487,17 +517,19 @@ class _Corral:
                 theta = ratio[np.arange(len(ratio)), leave]
                 self.weights[turned, :k] = weights - theta[:, None] * beta
                 self._remove(points[turn].tolist(), leave.tolist())
-                row, dot = rows[turn], dots[turn]
+                order, row, dot = orders[turn], rows[turn], dots[turn]
                 again, pivot_again, _ = self._border(turned, k - 1, row, dot)
-                self._append(turned, k - 1, again, pivot_again, row, dot, theta)
+                self._append(
+                    turned, k - 1, again, pivot_again, order, row, dot, theta
+                )
                 if hull.all():
                     continue
                 at = np.arange(len(points))[at][~hull]
-                slabs, row, dot = _select(points[at]), rows[at], dots[at]
+                slabs, order, row, dot = (
+                    _select(points[at]), orders[at], rows[at], dots[at]
+                )
                 projected, pivot = projected[~hull], pivot[~hull]
-            self._append(slabs, k, projected, pivot, row, dot, 0.0)
-        for p, order in zip(points.tolist(), orders):
-            self.orders[p].append(order)
+            self._append(slabs, k, projected, pivot, order, row, dot, 0.0)
 
     def _border(
         self, slabs: slice | np.ndarray, k: int, rows: np.ndarray, dots: np.ndarray
@@ -518,6 +550,7 @@ class _Corral:
         k: int,
         projected: np.ndarray,
         pivot: np.ndarray,
+        orders: np.ndarray,
         rows: np.ndarray,
         dots: np.ndarray,
         theta: np.ndarray | float,
@@ -532,6 +565,7 @@ class _Corral:
         self.inverse[slabs, :k, k] = solved / -diagonal[:, None]
         self.inverse[slabs, k, :k] = 0.0
         self.inverse[slabs, k, k] = 1.0 / diagonal
+        self.orders[slabs, k] = orders
         self.rows[slabs, k] = rows
         self.dots[slabs, k] = dots
         self.weights[slabs, k] = theta
@@ -601,8 +635,8 @@ class _Corral:
     def _remove(self, points: list[int], drops: list[int]) -> None:
         """Drop vertex `drops[i]` of each `points[i]`: delete its column of
         R and rotate R back to triangular, applying each rotation's
-        transpose to S's columns, then delete its row of S and its row,
-        dot, weight and order."""
+        transpose to S's columns, then delete its row of S and its order,
+        row, dot and weight."""
         groups: dict[tuple[int, int], list[int]] = {}
         for p, j in zip(points, drops):
             groups.setdefault((int(self.sizes[p]), j), []).append(p)
@@ -627,11 +661,10 @@ class _Corral:
             if not isinstance(slabs, slice):
                 self.factor[slabs, :k, :k] = factor
                 self.inverse[slabs, :k, :k] = inverse
-            for buffer in (self.rows, self.dots, self.weights):
+            for buffer in (self.orders, self.rows, self.dots, self.weights):
                 buffer[slabs, j : k - 1] = buffer[slabs, j + 1 : k]
+            self.orders[slabs, k - 1] = -1
             self.sizes[slabs] = k - 1
-            for p in members:
-                del self.orders[p][j]
 
 
 @dataclass(frozen=True)
@@ -672,7 +705,7 @@ def _frank_wolfe(lattice: _LatticeCells, targets: np.ndarray) -> list[_FrankWolf
     """
     targets = np.ascontiguousarray(targets, dtype=float)
     count = len(targets)
-    corral = _Corral(targets, len(lattice.starts))  # one start per menu
+    corral = _Corral(targets, len(lattice.starts), lattice.n)  # a start per menu
     running = np.arange(count)
     starts, _ = lattice.cheapest(-targets)
     corral.enter(running, starts, lattice.vertices(starts))
@@ -697,9 +730,10 @@ def _frank_wolfe(lattice: _LatticeCells, targets: np.ndarray) -> list[_FrankWolf
         if any(done):
             for i in itertools.compress(range(len(done)), done):
                 p = ids[i]
+                size = corral.sizes[p]
                 runs[p] = _FrankWolfeRun(
-                    corral.orders[p],
-                    corral.weights[p, : corral.sizes[p]].copy(),
+                    list(map(tuple, corral.orders[p, :size].tolist())),
+                    corral.weights[p, :size].copy(),
                     x[i],
                     float(squared[i]),
                     float(gaps[i]),
@@ -708,16 +742,12 @@ def _frank_wolfe(lattice: _LatticeCells, targets: np.ndarray) -> list[_FrankWolf
             if all(done):
                 break
             going = [not stop for stop in done]
-            running, gaps = running[going], gaps[going]
-            ids = list(itertools.compress(ids, going))
-            best = list(itertools.compress(best, going))
-        new = [
-            i
-            for i, (p, order) in enumerate(zip(ids, best))
-            if order not in corral.orders[p]
-        ]
-        if new:
-            entering = [best[i] for i in new]
+            running, gaps, best = running[going], gaps[going], best[going]
+        new = corral.lacks(running, best)
+        if new.all():
+            corral.enter(running, best, lattice.vertices(best))
+        elif new.any():
+            entering = best[new]
             corral.enter(running[new], entering, lattice.vertices(entering))
         corral.descend(running)
     return runs

@@ -16,6 +16,8 @@ The questions, in the order a dataset meets them:
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidGridStep
 
 # -- Is an input a probability table? ---------------------------------------
@@ -160,9 +162,11 @@ def grid_steps(step: float, name: str) -> int:
     """The number of grid steps of size `step` that make up 1.
 
     Raises `InvalidGridStep`, a `ValueError`, naming the parameter when
-    no positive whole number of steps is within STEP_TOL of 1.
+    no positive whole number of steps is within STEP_TOL of 1, as when
+    1 / step overflows.
     """
-    steps = round(1.0 / step) if step > 0 else 0
+    ratio = 1.0 / step if step > 0 else 0.0
+    steps = round(ratio) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * step - 1.0) > STEP_TOL:
         raise InvalidGridStep(f"{name} must divide 1")
     return steps

@@ -108,7 +108,8 @@ class Corral:
     """The active vertices of one Frank-Wolfe run, kept affinely
     independent, with R and S = R^-1 of their augmented Gram matrix
     rebuilt on every entry and removal (see `lattice._Corral`).
-    `exchanges` counts the vertices that entered by an exchange."""
+    `exchanges` counts the vertices that entered by an exchange, and
+    `repeats` the oracle orders that were active already."""
 
     def __init__(self, target: np.ndarray, menus: int):
         self.target = target
@@ -120,6 +121,7 @@ class Corral:
         self.factor = np.empty((0, 0))
         self.inverse = np.empty((0, 0))
         self.exchanges = 0
+        self.repeats = 0
 
     def enter(
         self, order: tuple[int, ...], row: np.ndarray, weights: np.ndarray
@@ -217,6 +219,8 @@ def frank_wolfe(
             break
         if best not in corral.orders:
             weights = corral.enter(best, vertex(cells, best), weights)
+        else:
+            corral.repeats += 1
         weights = corral.descend(weights)
 
     x = weights @ corral.rows

@@ -108,7 +108,7 @@ def points(world, grid, measures):
     columns = {}
     rows = []
     for k, menu in enumerate(world.domain.menus):
-        sets = [r[k] for r in realized]
+        sets = ([r[k] for r in realized], np.arange(len(grid)))
         row = simulation._menu_rows(utilities, world.owner, menu, sets, columns)
         rows.append((menu, {a: probs.tolist() for a, probs in row.items()}))
     reduced = [

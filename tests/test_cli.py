@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aggchoice
+from aggchoice import simulation
 from aggchoice import (
     AggregateSpace,
     ChoiceDomain,
@@ -476,6 +477,7 @@ class TestSimulateAndSweep:
             ["--mode", "utility", "--resolution", "0.3"],
             ["--mode", "utility", "--resolution", "nan"],
             ["--mode", "lambda", "--grid", "0.3"],
+            ["--mode", "lambda", "--grid", "5e-324"],
             ["--mode", "minmax", "--grid", "0.3"],
             ["--mode", "minmax", "--resolution", "0"],
         ],
@@ -484,6 +486,25 @@ class TestSimulateAndSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--output-csv", str(out)]) == 2
         assert "must divide 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "lambda", "--grid", "0.05"],
+            ["--mode", "utility", "--resolution", "1"],
+            ["--mode", "minmax", "--resolution", "0.05"],
+        ],
+    )
+    def test_a_grid_above_the_cap_is_usage_error(
+        self, tmp_path, argv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(simulation, "MAX_GRID_POINTS", 100)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--output-csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "holds more than 100 points" in err
         assert not out.exists()
 
     def test_lambda_csv_bytes(self, tmp_path):

@@ -36,7 +36,7 @@ from aggchoice import (
     ru_vertex_lmo,
     vertex_choice,
 )
-from aggchoice import geometry, model
+from aggchoice import geometry, model, simulation
 from aggchoice.cli import main
 from aggchoice.lattice import MAX_FW_ITERATIONS, _frank_wolfe, _LatticeCells
 from aggchoice.model import all_orders, order_events
@@ -311,6 +311,7 @@ def assert_solo_floats(runs, lattice, targets):
     for run, target in zip(runs, targets):
         solo, _ = fw_reference.frank_wolfe(lattice, target)
         assert run.orders == solo.orders
+        assert bits(run.orders) == bits(solo.orders)
         assert bits(run.weights) == bits(solo.weights)
         assert bits(run.point) == bits(solo.point)
         assert bits(run.squared_distance) == bits(solo.squared_distance)
@@ -373,6 +374,34 @@ class TestLockstep:
         capped = [run.hit_iteration_cap for run in runs]
         assert any(capped) and not all(capped)
         assert len({len(run.trace) for run in runs}) > 1
+
+    def test_an_active_order_is_not_entered_again(self, monkeypatch):
+        # A loose clipping tolerance stops the minor cycle short of the
+        # minimizer, so the oracle returns orders that are active already.
+        monkeypatch.setattr(aggchoice.lattice, "ACTIVE_SET_TOL", 0.05)
+        monkeypatch.setattr(fw_reference, "ACTIVE_SET_TOL", 0.05)
+        monkeypatch.setattr(aggchoice.lattice, "MAX_FW_ITERATIONS", 40)
+        space = make_space(3, 1)
+        rng = np.random.default_rng(3)
+        lattice, targets = random_targets(space, ChoiceDomain.full(space), rng, 40)
+        assert_solo_floats(_frank_wolfe(lattice, targets), lattice, targets)
+        corrals = [fw_reference.frank_wolfe(lattice, target)[1] for target in targets]
+        assert sum(corral.repeats for corral in corrals) > 0
+
+    def test_the_sweep_benchmark_grid(self):
+        # The 441 validated targets of `sweep --mode utility --resolution
+        # 0.5`, one stack, as one batch of the sweep runs them.
+        world = simulation._World()
+        marks = [simulation.UTILITY_LOW + 0.5 * i for i in range(21)]
+        triples = simulation.UTILITY_SWEEP_TRIPLES
+        grid = [
+            ({**simulation.DEFAULT_UTILITIES, "z": uz, "w": uw}, triples)
+            for uz in marks
+            for uw in marks
+        ]
+        raw, *_ = world.measure(grid, "bias")
+        targets = model._validate_rows(raw, world.lattice.cells)
+        assert_solo_floats(_frank_wolfe(world.lattice, targets), world.lattice, targets)
 
     def test_a_stack_of_one_is_the_solo_run(self):
         # The benchmark's 7-id polytope instance: about 70 iterations.

@@ -23,6 +23,7 @@ from aggchoice import (
     NotIdentified,
     PreferenceDistribution,
     StochasticChoice,
+    TooLarge,
     aru_distance,
     bias,
     fit_aggregated_logit,
@@ -482,9 +483,38 @@ class TestSweep:
         assert len(sweep("utility", 5.0, "bias")) == 9
 
     def test_batches_do_not_change_the_rows(self, monkeypatch):
-        whole = sweep("lambda", 0.1, "both")
-        monkeypatch.setattr(simulation, "SWEEP_BATCH", 7)
-        assert sweep("lambda", 0.1, "both") == whole
+        # The 66-point lambda grid (a triples mapping per point) and the
+        # 121-point utility grid (one mapping for all), under each
+        # measure, in batches of one, of seven and of SWEEP_BATCH.
+        for mode, step in (("lambda", 0.1), ("utility", 1.0)):
+            for measures in ("both", "bias", "distance"):
+                whole = repr(sweep(mode, step, measures))
+                for size in (1, 7):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(simulation, "SWEEP_BATCH", size)
+                        assert repr(sweep(mode, step, measures)) == whole
+
+
+class TestGridCap:
+    """Grids above MAX_GRID_POINTS raise `TooLarge` before they are built;
+    the cap is lowered here so that no test builds a large grid."""
+
+    def test_simplex_grids(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_GRID_POINTS", 66)
+        assert len(sweep("lambda", 0.1, "bias")) == 66  # (10 + 1)(10 + 2) / 2
+        with pytest.raises(TooLarge, match="simplex grid at step 0.05"):
+            sweep("lambda", 0.05, "bias")  # 231 points
+        assert len(minmax_bias(0.1, 0.1)) == 66
+        for outer, inner in ((0.05, 0.1), (0.1, 0.05)):
+            with pytest.raises(TooLarge, match="holds more than 66 points"):
+                minmax_bias(outer, inner)
+
+    def test_the_utility_grid(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_GRID_POINTS", 120)
+        with pytest.raises(TooLarge, match="utility grid at step 1 holds more"):
+            sweep("utility", 1.0, "bias")  # 11 * 11 points
+        monkeypatch.setattr(simulation, "MAX_GRID_POINTS", 121)
+        assert len(sweep("utility", 1.0, "bias")) == 121
 
 
 class TestSharedWorld:

@@ -92,7 +92,8 @@ def test_grid_steps(step, steps):
 
 
 @pytest.mark.parametrize(
-    "step", [0.3, 2.5, -0.5, 0.0, -1.0, float("nan"), float("inf")]
+    # 1 / 5e-324 overflows to inf.
+    "step", [0.3, 2.5, -0.5, 0.0, -1.0, float("nan"), float("inf"), 5e-324]
 )
 def test_grid_steps_rejects_steps_that_do_not_divide_one(step):
     with pytest.raises(ValueError, match="resolution must divide 1"):
